@@ -10,7 +10,7 @@ import pytest
 from benchmarks.conftest import emit
 from repro.config import AccelSpec
 from repro.experiments.table3 import gru_workload, lstm_workload
-from repro.hw.accelerator import AcceleratorModel
+from repro.hw.accelerator import build_design
 from repro.hw.asic import project_to_asic
 
 
@@ -22,7 +22,7 @@ def project_all():
         ("GRU FFT8", gru_workload(8)),
         ("GRU FFT16", gru_workload(16)),
     ):
-        design = AcceleratorModel(spec, AccelSpec("XCKU060")).build()
+        design = build_design(spec, AccelSpec("XCKU060"))
         rows.append((name, design, project_to_asic(design)))
     return rows
 

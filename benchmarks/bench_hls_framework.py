@@ -5,14 +5,14 @@ import pytest
 from benchmarks.conftest import emit
 from repro.config import AccelSpec
 from repro.experiments.table3 import gru_workload, lstm_workload
-from repro.hls.framework import HLSFramework
+from repro.hls.framework import build_hls
 from repro.hw.cu import ComputeUnitModel
 
 
 def run_flows():
     results = {}
     for name, spec in (("LSTM", lstm_workload(8)), ("GRU", gru_workload(8))):
-        results[name] = HLSFramework(spec, AccelSpec("XCKU060")).build()
+        results[name] = build_hls(spec, AccelSpec("XCKU060"))
     return results
 
 

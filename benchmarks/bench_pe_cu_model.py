@@ -5,7 +5,7 @@ import pytest
 from benchmarks.conftest import emit
 from repro.config import AccelSpec
 from repro.experiments.table3 import gru_workload, lstm_workload
-from repro.hw.accelerator import AcceleratorModel
+from repro.hw.accelerator import build_design
 from repro.hw.cu import ComputeUnitModel
 
 
@@ -13,7 +13,7 @@ def stage_breakdown():
     rows = []
     for name, spec in (("LSTM", lstm_workload(8)), ("GRU", gru_workload(8))):
         accel = AccelSpec("XCKU060")
-        design = AcceleratorModel(spec, accel).build()
+        design = build_design(spec, accel)
         cu = ComputeUnitModel(spec, accel, design.pes_per_cu)
         timing = cu.timing()
         rows.append((name, design, timing))

@@ -41,7 +41,6 @@ from repro.core import (
     ADMMConfig,
     ADMMTrainer,
     BlockCirculantMatrix,
-    ERNNFramework,
     ERNNResult,
     PhaseIConfig,
     PhaseIIConfig,
@@ -116,7 +115,6 @@ __all__ = [
     "ADMMConfig",
     "ADMMTrainer",
     "BlockCirculantMatrix",
-    "ERNNFramework",
     "ERNNResult",
     "PhaseIConfig",
     "PhaseIIConfig",

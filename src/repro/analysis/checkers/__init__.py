@@ -10,7 +10,6 @@ from __future__ import annotations
 from repro.analysis.checkers import (  # noqa: F401 — imported for registration
     asynchrony,
     bitexact,
-    deprecation,
     docdrift,
     exceptions,
     locks,
@@ -19,7 +18,6 @@ from repro.analysis.checkers import (  # noqa: F401 — imported for registratio
 __all__ = [
     "asynchrony",
     "bitexact",
-    "deprecation",
     "docdrift",
     "exceptions",
     "locks",

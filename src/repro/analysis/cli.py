@@ -42,13 +42,15 @@ def split_codes(values: Iterable[str] | None) -> list[str] | None:
 def add_lint_parser(subparsers) -> argparse.ArgumentParser:
     parser = subparsers.add_parser(
         "lint",
-        help="run the repro static analyzer (REP001-REP006) over source paths",
+        help=(
+            "run the repro static analyzer (REP001-REP003, REP005, REP006) "
+            "over source paths"
+        ),
         description=(
             "Statically check project invariants: lock discipline (REP001), "
-            "async hygiene (REP002), bit-exactness (REP003), the deprecation "
-            "firewall (REP004), exception hygiene (REP005) and doc drift "
-            "(REP006).  Exits 0 when clean, 1 on non-baselined findings, "
-            "2 when a file cannot be parsed."
+            "async hygiene (REP002), bit-exactness (REP003), exception "
+            "hygiene (REP005) and doc drift (REP006).  Exits 0 when clean, "
+            "1 on non-baselined findings, 2 when a file cannot be parsed."
         ),
     )
     parser.add_argument(

@@ -8,8 +8,6 @@ from repro.asr.pipeline import (
     PreparedDataset,
     TrainConfig,
     TrainingHistory,
-    evaluate_frame_accuracy,
-    evaluate_per,
     prepare_dataset,
     train_model,
 )
@@ -38,8 +36,6 @@ __all__ = [
     "PreparedDataset",
     "TrainConfig",
     "TrainingHistory",
-    "evaluate_frame_accuracy",
-    "evaluate_per",
     "prepare_dataset",
     "train_model",
     "CorpusConfig",

@@ -7,14 +7,11 @@ through :func:`train_model`.
 
 Evaluation (corpus PER, frame accuracy) lives in :mod:`repro.runtime` —
 metrics are computed through :class:`repro.runtime.CompiledModel`, so the
-same call scores the float model or the fixed-point CU emulation.  The
-old ``evaluate_per`` / ``evaluate_frame_accuracy`` names remain here as
-deprecated shims forwarding to the runtime with byte-identical results.
+same call scores the float model or the fixed-point CU emulation.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +33,6 @@ __all__ = [
     "TrainConfig",
     "TrainingHistory",
     "train_model",
-    "evaluate_per",
-    "evaluate_frame_accuracy",
 ]
 
 
@@ -168,58 +163,3 @@ def train_model(
             residuals = admm.dual_update()
             history.admm_residuals.append(max(residuals.values()))
     return history
-
-
-def evaluate_per(
-    model: StackedRNNClassifier,
-    dataset: PreparedDataset,
-    decoder: FrameDecoder | None = None,
-    batch_size: int = 8,
-    workers: int | None = None,
-) -> float:
-    """Corpus phone error rate — thin shim over :func:`repro.runtime.evaluate_per`.
-
-    .. deprecated::
-        Evaluation moved to the unified runtime (PR 4): call
-        :func:`repro.runtime.evaluate_per`, which accepts a raw model *or*
-        a :class:`repro.runtime.CompiledModel` (so the same call scores
-        the fixed-point hardware emulation).  This shim forwards with
-        identical semantics — PER values are byte-identical — and will be
-        removed once nothing imports it.
-    """
-    warnings.warn(
-        "repro.asr.pipeline.evaluate_per is deprecated; use "
-        "repro.runtime.evaluate_per (same signature, also accepts "
-        "CompiledModel artifacts)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.runtime.evaluate import evaluate_per as runtime_evaluate_per
-
-    return runtime_evaluate_per(
-        model, dataset, decoder=decoder, batch_size=batch_size, workers=workers
-    )
-
-
-def evaluate_frame_accuracy(
-    model: StackedRNNClassifier,
-    dataset: PreparedDataset,
-    batch_size: int = 8,
-) -> float:
-    """Frame accuracy — thin shim over :func:`repro.runtime.evaluate_frame_accuracy`.
-
-    .. deprecated::
-        Use :func:`repro.runtime.evaluate_frame_accuracy`; this shim
-        forwards with identical results.
-    """
-    warnings.warn(
-        "repro.asr.pipeline.evaluate_frame_accuracy is deprecated; use "
-        "repro.runtime.evaluate_frame_accuracy",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.runtime.evaluate import (
-        evaluate_frame_accuracy as runtime_evaluate_frame_accuracy,
-    )
-
-    return runtime_evaluate_frame_accuracy(model, dataset, batch_size=batch_size)

@@ -13,7 +13,7 @@ E-RNN paper closes:
   plain momentum SGD for fidelity to the baseline.
 * **Hardware** — same block-circulant datapath but 16-bit quantization and
   no PE-level optimization; modeled by
-  :class:`repro.hw.accelerator.AcceleratorModel` with
+  :func:`repro.hw.accelerator.build_design` with
   ``CLSTM_PE_EFFICIENCY`` and ``weight_bits=16``.
 """
 

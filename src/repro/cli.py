@@ -15,7 +15,7 @@ Subcommands map onto the paper's workflow:
 * ``bench``      — run the performance suites, emit ``BENCH_*.json``.
 * ``table3``     — regenerate the paper's headline comparison table.
 * ``fig8``       — print the multiplication-count curves.
-* ``lint``       — static analysis of the project invariants (REP001-REP006).
+* ``lint``       — static analysis of the project invariants (REP001-REP003, REP005, REP006).
 
 Examples::
 

@@ -2,7 +2,7 @@
 
 from repro.core.admm import ADMMConfig, ADMMTrainer
 from repro.core.block_matrix import BlockCirculantMatrix
-from repro.core.ernn import ERNNFramework, ERNNResult, run_two_phase_flow
+from repro.core.ernn import ERNNResult, run_two_phase_flow
 from repro.core.phase1 import (
     PhaseIConfig,
     PhaseIOptimizer,
@@ -54,7 +54,6 @@ __all__ = [
     "ADMMConfig",
     "ADMMTrainer",
     "BlockCirculantMatrix",
-    "ERNNFramework",
     "ERNNResult",
     "run_two_phase_flow",
     "PhaseIConfig",

@@ -1,28 +1,25 @@
 """The E-RNN framework: Phase I + Phase II end to end.
 
-:func:`run_two_phase_flow` is the canonical entry point — the programmatic
-equivalent of the paper's overall flow: start from a dense LSTM baseline and
-an accuracy budget, derive the compressed model (Phase I), then size its
-FPGA implementation (Phase II).  The fluent facade exposes it as
+:func:`run_two_phase_flow` is the programmatic equivalent of the paper's
+overall flow: start from a dense LSTM baseline and an accuracy budget,
+derive the compressed model (Phase I), then size its FPGA implementation
+(Phase II).  The fluent facade exposes it as
 ``repro.api.Design(...).optimize(trainer, ...)``:
 
 >>> result = run_two_phase_flow(baseline_spec, trainer, baseline_per=20.01)
 >>> result.phase1.final_spec          # the chosen RNN model
 >>> result.phase2.design.latency_us   # its hardware implementation
-
-``ERNNFramework`` is the deprecated class-shaped shim around the same flow.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.config import RNNSpec
 from repro.core.phase1 import PhaseIConfig, PhaseIOptimizer, PhaseIResult, Trainer
 from repro.core.phase2 import PhaseIIConfig, PhaseIIOptimizer, PhaseIIResult, QuantEval
 
-__all__ = ["ERNNResult", "ERNNFramework", "run_two_phase_flow"]
+__all__ = ["ERNNResult", "run_two_phase_flow"]
 
 
 @dataclass(frozen=True)
@@ -70,47 +67,3 @@ def run_two_phase_flow(
         float_per=float_per,
     ).run()
     return ERNNResult(phase1=phase1, phase2=phase2)
-
-
-class ERNNFramework:
-    """Class-shaped shim over :func:`run_two_phase_flow`.
-
-    .. deprecated::
-        Use ``repro.api.Design(...).optimize(trainer, ...)`` or call
-        :func:`run_two_phase_flow` directly.
-    """
-
-    def __init__(
-        self,
-        baseline_spec: RNNSpec,
-        trainer: Trainer,
-        phase1_config: PhaseIConfig | None = None,
-        phase2_config: PhaseIIConfig | None = None,
-        quant_eval_factory=None,
-        *,
-        _warn: bool = True,
-    ):
-        if _warn:
-            warnings.warn(
-                "ERNNFramework is deprecated; use repro.api.Design(...)"
-                ".optimize(trainer, ...) or repro.core.ernn.run_two_phase_flow()",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.baseline_spec = baseline_spec
-        self.trainer = trainer
-        self.phase1_config = (
-            phase1_config if phase1_config is not None else PhaseIConfig()
-        )
-        self.phase2_config = phase2_config
-        self.quant_eval_factory = quant_eval_factory
-
-    def optimize(self, baseline_per: float | None = None) -> ERNNResult:
-        return run_two_phase_flow(
-            self.baseline_spec,
-            self.trainer,
-            baseline_per=baseline_per,
-            phase1_config=self.phase1_config,
-            phase2_config=self.phase2_config,
-            quant_eval_factory=self.quant_eval_factory,
-        )

@@ -2,7 +2,7 @@
 
 Given the Phase-I spec, Phase II determines the implementation: number of
 PEs (the ``min(DSP/ΔDSP, LUT/ΔLUT)`` allocation inside
-:class:`repro.hw.accelerator.AcceleratorModel`), the fixed-point bit width
+:func:`repro.hw.accelerator.build_design`), the fixed-point bit width
 (smallest width whose PER cost stays inside the quantization budget —
 Sec. VII-D's conclusion is 12 bits), and the piecewise-linear activation
 table size (smallest power-of-two segment count meeting a worst-case error

@@ -14,7 +14,6 @@ since the scheduler prices the same work on the same engines).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import networkx as nx
@@ -26,7 +25,7 @@ from repro.hls.scheduler import Schedule, schedule_graph
 from repro.hw.accelerator import AcceleratorDesign, build_design
 from repro.hw.cu import GRU_TDM_SPEEDUP
 
-__all__ = ["HLSResult", "HLSFramework", "build_hls"]
+__all__ = ["HLSResult", "build_hls"]
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ def build_hls(
     pe_efficiency: float = 1.0,
     design: AcceleratorDesign | None = None,
 ) -> HLSResult:
-    """Run the full Fig. 13 flow — the canonical (non-deprecated) path.
+    """Run the full Fig. 13 flow for one design point.
 
     :class:`repro.api.engine.Engine` memoizes this call keyed on the frozen
     ``(spec, accel)`` pair, so repeated codegen over a sweep builds once.
@@ -97,37 +96,3 @@ def build_hls(
         code=code,
         design=design,
     )
-
-
-class HLSFramework:
-    """Template-based design automation for RNN FPGA implementations.
-
-    .. deprecated::
-        Superseded by ``repro.api.Design(...).codegen()`` (cached) and
-        :func:`build_hls`; kept as a working shim.
-    """
-
-    def __init__(
-        self,
-        spec: RNNSpec,
-        accel: AccelSpec,
-        pe_efficiency: float = 1.0,
-        *,
-        _warn: bool = True,
-    ):
-        if _warn:
-            warnings.warn(
-                "HLSFramework is deprecated; use repro.api.Design(...)."
-                "codegen() or repro.hls.framework.build_hls()",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.spec = spec
-        self.accel = accel
-        self.pe_efficiency = pe_efficiency
-
-    def operation_graph(self) -> nx.DiGraph:
-        return build_operation_graph(self.spec)
-
-    def build(self) -> HLSResult:
-        return build_hls(self.spec, self.accel, self.pe_efficiency)

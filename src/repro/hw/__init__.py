@@ -3,7 +3,6 @@
 from repro.hw.accelerator import (
     DEFAULT_NUM_CUS,
     AcceleratorDesign,
-    AcceleratorModel,
     build_design,
 )
 from repro.hw.activation import PiecewiseLinearActivation, pwl_sigmoid, pwl_tanh
@@ -50,7 +49,6 @@ from repro.hw.report import ImplementationReport, format_table
 __all__ = [
     "DEFAULT_NUM_CUS",
     "AcceleratorDesign",
-    "AcceleratorModel",
     "build_design",
     "PiecewiseLinearActivation",
     "pwl_sigmoid",

@@ -16,7 +16,6 @@ Ties the pieces together for one (RNNSpec, AccelSpec, platform) triple:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.config import AccelSpec, RNNSpec
@@ -30,7 +29,6 @@ from repro.hw.power import energy_efficiency, power_watts
 
 __all__ = [
     "AcceleratorDesign",
-    "AcceleratorModel",
     "build_design",
     "pe_capacity",
     "DEFAULT_NUM_CUS",
@@ -92,139 +90,93 @@ class AcceleratorDesign:
         return energy_efficiency(self.fps, self.power_watts)
 
 
-class AcceleratorModel:
-    """Builds an :class:`AcceleratorDesign` for a circulant RNN.
+def _size(
+    spec: RNNSpec, accel: AccelSpec
+) -> tuple[FPGAPlatform, int, ProcessingElement, int]:
+    """Platform, CU count, PE and the PE bound shared by both entry points.
 
-    .. deprecated::
-        Direct use is superseded by the :mod:`repro.api` facade —
-        ``Design.lstm(...).on(platform).price()`` — which routes through the
-        cached build :class:`repro.api.engine.Engine`.  This class remains as
-        a working shim; library internals call :func:`build_design` instead.
+    The PE bound is the paper's min-rule over DSP/LUT plus the BRAM-bank
+    feed bound, after reserving the platform and per-CU overheads.
     """
-
-    def __init__(
-        self,
-        spec: RNNSpec,
-        accel: AccelSpec,
-        pe_efficiency: float = 1.0,
-        *,
-        _warn: bool = True,
-    ):
-        if _warn:
-            warnings.warn(
-                "AcceleratorModel is deprecated; use repro.api.Design"
-                " (e.g. Design.lstm(...).on(platform).price()) or"
-                " repro.hw.accelerator.build_design()",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.spec = spec
-        self.accel = accel
-        self.platform = get_platform(accel.platform)
-        self.pe_efficiency = pe_efficiency
-        self.num_cus = (
-            accel.num_compute_units
-            if accel.num_compute_units is not None
-            else DEFAULT_NUM_CUS
+    platform = get_platform(accel.platform)
+    num_cus = (
+        accel.num_compute_units
+        if accel.num_compute_units is not None
+        else DEFAULT_NUM_CUS
+    )
+    max_block = max(s.block_size for s in matrix_inventory(spec))
+    if max_block <= 1:
+        raise FitError(
+            "the accelerator model requires a block-circulant spec; dense "
+            "models are handled by the ESE baseline model"
         )
-        block_sizes = [s.block_size for s in matrix_inventory(spec)]
-        self.max_block = max(block_sizes)
-        if self.max_block <= 1:
-            raise FitError(
-                "AcceleratorModel requires a block-circulant spec; dense "
-                "models are handled by the ESE baseline model"
-            )
-        self.pe = ProcessingElement(self.max_block, accel.weight_bits)
-
-    # ------------------------------------------------------------------
-    def allocate_pes(self) -> int:
-        """Paper's min-rule over DSP/LUT plus the BRAM-bank feed bound."""
-        platform = self.platform
-        headroom = min(MAX_UTILIZATION, platform.routing_headroom)
-        overhead = PLATFORM_BASE + PER_CU_BASE.scale(self.num_cus)
-        dsp_budget = platform.dsp * headroom - overhead.dsp
-        lut_budget = platform.lut * headroom - overhead.lut
-        ff_budget = platform.ff * headroom - overhead.ff
-        bram_budget = platform.bram_blocks * headroom - overhead.bram_blocks
-        bounds = (
-            int(dsp_budget // self.pe.dsp),
-            int(lut_budget // self.pe.lut),
-            int(ff_budget // self.pe.ff),
-            int(bram_budget // self.pe.bram_banks),
+    pe = ProcessingElement(max_block, accel.weight_bits)
+    headroom = min(MAX_UTILIZATION, platform.routing_headroom)
+    overhead = PLATFORM_BASE + PER_CU_BASE.scale(num_cus)
+    dsp_budget = platform.dsp * headroom - overhead.dsp
+    lut_budget = platform.lut * headroom - overhead.lut
+    ff_budget = platform.ff * headroom - overhead.ff
+    bram_budget = platform.bram_blocks * headroom - overhead.bram_blocks
+    bounds = (
+        int(dsp_budget // pe.dsp),
+        int(lut_budget // pe.lut),
+        int(ff_budget // pe.ff),
+        int(bram_budget // pe.bram_banks),
+    )
+    num_pes = min(bounds)
+    if num_pes < num_cus:
+        raise FitError(
+            f"{platform.name} cannot host one PE per CU for "
+            f"{spec.describe()} (bounds {bounds})"
         )
-        num_pes = min(bounds)
-        if num_pes < self.num_cus:
-            raise FitError(
-                f"{self.platform.name} cannot host one PE per CU for "
-                f"{self.spec.describe()} (bounds {bounds})"
-            )
-        return num_pes
-
-    def _resources_used(self, num_pes: int) -> ResourceVector:
-        used = PLATFORM_BASE + PER_CU_BASE.scale(self.num_cus)
-        used = used + self.pe.resources().scale(num_pes)
-        # Weight storage may exceed the bank-feed blocks for small PE counts.
-        capacity_blocks = (
-            storage_breakdown(
-                self.spec, self.accel.weight_bits, self.num_cus
-            ).total
-            / (36 * 1024)
-        )
-        bank_blocks = used.bram_blocks
-        if capacity_blocks + PLATFORM_BASE.bram_blocks > bank_blocks:
-            used = ResourceVector(
-                used.dsp,
-                capacity_blocks + PLATFORM_BASE.bram_blocks,
-                used.lut,
-                used.ff,
-            )
-        return used
-
-    # ------------------------------------------------------------------
-    def build(self) -> AcceleratorDesign:
-        num_pes = self.allocate_pes()
-        pes_per_cu = num_pes // self.num_cus
-        num_pes = pes_per_cu * self.num_cus  # keep CUs symmetric
-        cu = ComputeUnitModel(
-            self.spec, self.accel, pes_per_cu, pe_efficiency=self.pe_efficiency
-        )
-        design = AcceleratorDesign(
-            spec=self.spec,
-            accel=self.accel,
-            platform=self.platform,
-            num_pes=num_pes,
-            num_cus=self.num_cus,
-            pes_per_cu=pes_per_cu,
-            timing=cu.timing(),
-            resources_used=self._resources_used(num_pes),
-        )
-        if not self.platform.fits(design.resources_used):
-            raise FitError(
-                f"design exceeds {self.platform.name}: "
-                f"{design.utilization}"
-            )
-        return design
+    return platform, num_cus, pe, num_pes
 
 
 def build_design(
     spec: RNNSpec, accel: AccelSpec, pe_efficiency: float = 1.0
 ) -> AcceleratorDesign:
-    """Size one accelerator — the canonical (non-deprecated) build path.
+    """Size one accelerator for a circulant RNN.
 
     :class:`repro.api.engine.Engine` memoizes this call; everything inside
     the library (Phase II, the HLS flow, the experiment tables) goes through
-    here so only *external* ``AcceleratorModel`` use triggers the
-    deprecation warning.
+    here.
     """
-    return AcceleratorModel(spec, accel, pe_efficiency, _warn=False).build()
+    platform, num_cus, pe, num_pes = _size(spec, accel)
+    pes_per_cu = num_pes // num_cus
+    num_pes = pes_per_cu * num_cus  # keep CUs symmetric
+    used = PLATFORM_BASE + PER_CU_BASE.scale(num_cus)
+    used = used + pe.resources().scale(num_pes)
+    # Weight storage may exceed the bank-feed blocks for small PE counts.
+    capacity_blocks = (
+        storage_breakdown(spec, accel.weight_bits, num_cus).total / (36 * 1024)
+    )
+    if capacity_blocks + PLATFORM_BASE.bram_blocks > used.bram_blocks:
+        used = ResourceVector(
+            used.dsp,
+            capacity_blocks + PLATFORM_BASE.bram_blocks,
+            used.lut,
+            used.ff,
+        )
+    cu = ComputeUnitModel(spec, accel, pes_per_cu, pe_efficiency=pe_efficiency)
+    design = AcceleratorDesign(
+        spec=spec,
+        accel=accel,
+        platform=platform,
+        num_pes=num_pes,
+        num_cus=num_cus,
+        pes_per_cu=pes_per_cu,
+        timing=cu.timing(),
+        resources_used=used,
+    )
+    if not platform.fits(design.resources_used):
+        raise FitError(f"design exceeds {platform.name}: {design.utilization}")
+    return design
 
 
 def pe_capacity(spec: RNNSpec, accel: AccelSpec) -> int:
     """How many PEs the platform can host for ``spec`` (the paper's min-rule).
 
     The allocation bound alone — before CU-symmetric rounding or timing —
-    as quoted in Table IV's derived rows.  The canonical internal entry
-    point; like :func:`build_design` it keeps ``AcceleratorModel`` a shim
-    for external callers only.
+    as quoted in Table IV's derived rows.
     """
-    return AcceleratorModel(spec, accel, _warn=False).allocate_pes()
+    return _size(spec, accel)[3]

@@ -91,7 +91,7 @@ class TestRegistry:
     def test_all_codes_registered(self):
         import repro.analysis.checkers  # noqa: F401  registration side effect
 
-        for code in ("REP001", "REP002", "REP003", "REP004", "REP005", "REP006"):
+        for code in ("REP001", "REP002", "REP003", "REP005", "REP006"):
             assert CHECKER_REGISTRY.get(code).code == code
 
     def test_select_by_lowercase_name_alias(self):
@@ -103,8 +103,8 @@ class TestRegistry:
     def test_ignore_drops_checker(self):
         import repro.analysis.checkers  # noqa: F401
 
-        codes = {c.code for c in resolve_checkers(ignore=["REP004"])}
-        assert "REP004" not in codes and "REP001" in codes
+        codes = {c.code for c in resolve_checkers(ignore=["REP003"])}
+        assert "REP003" not in codes and "REP001" in codes
 
     def test_unknown_code_raises(self):
         with pytest.raises(AnalysisError):

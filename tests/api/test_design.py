@@ -1,5 +1,5 @@
-"""The fluent Design facade: golden equivalence with the legacy entry
-points, immutability, report verbs, and the deprecation shims."""
+"""The fluent Design facade: golden equivalence with the canonical build
+functions, immutability, report verbs, and warning-free verbs."""
 
 import math
 import warnings
@@ -86,30 +86,27 @@ class TestFluentConstruction:
 
 
 class TestGoldenEquivalence:
-    """Design verbs must reproduce the legacy entry points byte for byte."""
+    """Design verbs must reproduce the canonical build functions byte for
+    byte."""
 
     @pytest.mark.parametrize("design", GOLDEN_POINTS)
     def test_price_matches_accelerator_model(self, design):
-        from repro.hw.accelerator import AcceleratorModel
+        from repro.hw.accelerator import build_design
 
         spec, accel = design.specs()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = AcceleratorModel(spec, accel).build()
+        direct = build_design(spec, accel)
         priced = design.using(Engine()).price()
-        assert priced == legacy  # frozen dataclasses: full field equality
+        assert priced == direct  # frozen dataclasses: full field equality
 
     @pytest.mark.parametrize("design", GOLDEN_POINTS)
     def test_codegen_byte_matches_hls_framework(self, design):
-        from repro.hls.framework import HLSFramework
+        from repro.hls.framework import build_hls
 
         spec, accel = design.specs()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = HLSFramework(spec, accel).build()
+        direct = build_hls(spec, accel)
         result = design.using(Engine()).codegen()
-        assert result.code == legacy.code
-        assert result.summary() == legacy.summary()
+        assert result.code == direct.code
+        assert result.summary() == direct.summary()
 
     def test_codegen_writes_file(self, tmp_path):
         out = tmp_path / "cu.c"
@@ -144,8 +141,8 @@ class TestGoldenEquivalence:
         assert report.block_sizes == ()
         assert "INFEASIBLE" in report.describe()
 
-    def test_optimize_matches_legacy_framework(self):
-        from repro.core.ernn import ERNNFramework
+    def test_optimize_matches_two_phase_flow(self):
+        from repro.core.ernn import run_two_phase_flow
 
         def oracle(spec: RNNSpec) -> float:
             per = 20.0
@@ -162,44 +159,18 @@ class TestGoldenEquivalence:
             Design.lstm(1024, 1024).peephole().project(512).on("XCKU060")
             .optimize(oracle, baseline_per=20.0)
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = ERNNFramework(
-                RNNSpec("lstm", 153, (1024, 1024), 39,
-                        peephole=True, projection_size=512),
-                oracle,
-            ).optimize(baseline_per=20.0)
-        assert result.phase1.final_spec == legacy.phase1.final_spec
-        assert result.phase2.accel == legacy.phase2.accel
-        assert result.describe() == legacy.describe()
+        direct = run_two_phase_flow(
+            RNNSpec("lstm", 153, (1024, 1024), 39,
+                    peephole=True, projection_size=512),
+            oracle,
+            baseline_per=20.0,
+        )
+        assert result.phase1.final_spec == direct.phase1.final_spec
+        assert result.phase2.accel == direct.phase2.accel
+        assert result.describe() == direct.describe()
 
 
-class TestDeprecationShims:
-    def test_accelerator_model_warns_but_works(self):
-        from repro.hw.accelerator import AcceleratorModel
-
-        spec = RNNSpec("lstm", 153, (1024,), 39,
-                       block_sizes=(8,), peephole=True, projection_size=512)
-        with pytest.warns(DeprecationWarning, match="repro.api.Design"):
-            model = AcceleratorModel(spec, AccelSpec("XCKU060"))
-        assert model.build().num_pes > 0
-
-    def test_hls_framework_warns_but_works(self):
-        from repro.hls.framework import HLSFramework
-
-        spec = RNNSpec("gru", 153, (1024,), 39, block_sizes=(16,))
-        with pytest.warns(DeprecationWarning, match="codegen"):
-            framework = HLSFramework(spec, AccelSpec("XCKU060"))
-        assert "#pragma HLS" in framework.build().code
-
-    def test_ernn_framework_warns(self):
-        from repro.core.ernn import ERNNFramework
-
-        with pytest.warns(DeprecationWarning, match="optimize"):
-            ERNNFramework(
-                RNNSpec("lstm", 153, (1024,), 39), lambda spec: 20.0
-            )
-
+class TestFacadeWarnings:
     def test_facade_paths_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -211,3 +182,9 @@ class TestDeprecationShims:
             design.bounds()
             design.price()
             design.codegen()
+
+    def test_design_price_warns_nothing(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            Design.lstm(64).blocks(8).io(12, 8).on("XCKU060").price()
+        assert not caught

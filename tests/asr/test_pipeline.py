@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.asr import pipeline
 from repro.asr.pipeline import TrainConfig, prepare_dataset, train_model
 from repro.errors import TrainingError
 from repro.nn.rnn import StackedRNNClassifier
@@ -90,26 +89,3 @@ class TestEvaluation:
         assert evaluate_per(trained_dense, test) == evaluate_per(
             trained_dense, test
         )
-
-
-class TestDeprecatedEvaluationShims:
-    """The legacy pipeline entry points forward to the runtime, warning
-    with ``stacklevel=2`` so the message points at the caller."""
-
-    def test_evaluate_per_shim_matches_runtime(
-        self, trained_dense, micro_datasets
-    ):
-        _, test = micro_datasets
-        with pytest.warns(DeprecationWarning) as caught:
-            legacy = pipeline.evaluate_per(trained_dense, test, batch_size=2)
-        assert legacy == evaluate_per(trained_dense, test, batch_size=2)
-        assert caught[0].filename == __file__  # stacklevel=2 -> the caller
-
-    def test_evaluate_frame_accuracy_shim_matches_runtime(
-        self, trained_dense, micro_datasets
-    ):
-        _, test = micro_datasets
-        with pytest.warns(DeprecationWarning) as caught:
-            legacy = pipeline.evaluate_frame_accuracy(trained_dense, test)
-        assert legacy == evaluate_frame_accuracy(trained_dense, test)
-        assert caught[0].filename == __file__

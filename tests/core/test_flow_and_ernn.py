@@ -7,7 +7,7 @@ from repro.asr.pipeline import TrainConfig
 from repro.runtime import evaluate_per
 from repro.config import RNNSpec
 from repro.core.admm import ADMMConfig
-from repro.core.ernn import ERNNFramework
+from repro.core.ernn import run_two_phase_flow
 from repro.core.flow import ernn_compress
 from repro.core.phase1 import PhaseIConfig
 from repro.core.phase2 import PhaseIIConfig
@@ -57,7 +57,7 @@ class TestErnnCompress:
             ernn_compress(trained_dense, trained_dense.spec, train)
 
 
-class TestERNNFramework:
+class TestTwoPhaseFlow:
     def test_two_phase_optimization_with_oracle(self):
         baseline = RNNSpec(
             "lstm", 153, (1024, 1024), 39, peephole=True, projection_size=512
@@ -72,13 +72,13 @@ class TestERNNFramework:
                     per += 0.02 * math.log2(block)
             return per
 
-        framework = ERNNFramework(
+        result = run_two_phase_flow(
             baseline,
             oracle,
+            baseline_per=20.0,
             phase1_config=PhaseIConfig(accuracy_budget=0.4),
             phase2_config=PhaseIIConfig(platform="XCKU060"),
         )
-        result = framework.optimize(baseline_per=20.0)
         assert result.phase1.final_spec.is_block_circulant
         assert result.phase2.design.fps > 0
         assert result.phase1.num_training_trials <= 6

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import AccelSpec, RNNSpec
-from repro.hls.framework import HLSFramework
+from repro.hls.framework import build_hls
 from repro.hw.cu import GRU_TDM_SPEEDUP, ComputeUnitModel
 
 
@@ -20,7 +20,7 @@ def gru_spec():
 
 class TestBuild:
     def test_result_bundle_complete(self):
-        result = HLSFramework(lstm_spec(), AccelSpec("XCKU060")).build()
+        result = build_hls(lstm_spec(), AccelSpec("XCKU060"))
         assert result.graph.number_of_nodes() > 10
         assert result.schedule.frame_cycles > 0
         assert len(result.code) > 1000
@@ -31,7 +31,7 @@ class TestBuild:
     def test_scheduler_agrees_with_analytic_cu_lstm(self):
         """Fig. 13's perf model and the Sec. VII CU algebra price the same
         work — they must agree within 10%."""
-        result = HLSFramework(lstm_spec(), AccelSpec("XCKU060")).build()
+        result = build_hls(lstm_spec(), AccelSpec("XCKU060"))
         analytic = ComputeUnitModel(
             lstm_spec(), AccelSpec("XCKU060"), result.design.pes_per_cu
         )
@@ -39,7 +39,7 @@ class TestBuild:
         assert 0.9 <= ratio <= 1.1
 
     def test_scheduler_agrees_with_analytic_cu_gru(self):
-        result = HLSFramework(gru_spec(), AccelSpec("XCKU060")).build()
+        result = build_hls(gru_spec(), AccelSpec("XCKU060"))
         analytic = ComputeUnitModel(
             gru_spec(), AccelSpec("XCKU060"), result.design.pes_per_cu
         )
@@ -47,14 +47,14 @@ class TestBuild:
         assert 0.85 <= ratio <= 1.15
 
     def test_gru_uses_tdm_efficiency(self):
-        lstm = HLSFramework(lstm_spec(), AccelSpec("XCKU060")).build()
-        gru = HLSFramework(gru_spec(), AccelSpec("XCKU060")).build()
+        lstm = build_hls(lstm_spec(), AccelSpec("XCKU060"))
+        gru = build_hls(gru_spec(), AccelSpec("XCKU060"))
         # Same PE budget; GRU has ~11% more block ops yet finishes sooner.
         assert gru.frame_cycles < lstm.frame_cycles
         assert GRU_TDM_SPEEDUP > 1.0
 
     def test_fft16_build_faster(self):
-        fft8 = HLSFramework(lstm_spec(), AccelSpec("XCKU060")).build()
+        fft8 = build_hls(lstm_spec(), AccelSpec("XCKU060"))
         spec16 = lstm_spec().with_block_sizes((16,))
-        fft16 = HLSFramework(spec16, AccelSpec("XCKU060")).build()
+        fft16 = build_hls(spec16, AccelSpec("XCKU060"))
         assert fft16.latency_us < fft8.latency_us

@@ -4,7 +4,12 @@ import pytest
 
 from repro.config import AccelSpec, RNNSpec
 from repro.errors import FitError
-from repro.hw.accelerator import CLSTM_PE_EFFICIENCY, DEFAULT_NUM_CUS, AcceleratorModel
+from repro.hw.accelerator import (
+    CLSTM_PE_EFFICIENCY,
+    DEFAULT_NUM_CUS,
+    build_design,
+    pe_capacity,
+)
 
 
 def lstm_spec(block=8):
@@ -21,15 +26,37 @@ def gru_spec(block=8):
 def build(spec, platform="XCKU060", bits=12, pe_efficiency=1.0, cus=None):
     accel = AccelSpec(platform, weight_bits=bits, input_bits=bits,
                       num_compute_units=cus)
-    return AcceleratorModel(spec, accel, pe_efficiency=pe_efficiency).build()
+    return build_design(spec, accel, pe_efficiency=pe_efficiency)
 
 
 class TestAllocation:
-    def test_rejects_dense_spec(self):
+    @pytest.mark.parametrize("entry", [build_design, pe_capacity],
+                             ids=["build_design", "pe_capacity"])
+    def test_rejects_dense_spec(self, entry):
         dense = RNNSpec("lstm", 153, (1024,), 39, peephole=True,
                         projection_size=512)
-        with pytest.raises(FitError):
-            AcceleratorModel(dense, AccelSpec("XCKU060"))
+        with pytest.raises(FitError, match="block-circulant"):
+            entry(dense, AccelSpec("XCKU060"))
+
+    @pytest.mark.parametrize("entry", [build_design, pe_capacity],
+                             ids=["build_design", "pe_capacity"])
+    def test_rejects_more_cus_than_pes(self, entry):
+        accel = AccelSpec("XCKU060", num_compute_units=100_000)
+        with pytest.raises(FitError, match="one PE per CU"):
+            entry(gru_spec(), accel)
+
+    @pytest.mark.parametrize("bits", [12, 16])
+    @pytest.mark.parametrize("platform", ["XCKU060", "ADM-PCIE-7V3"])
+    @pytest.mark.parametrize("spec", [lstm_spec(), gru_spec()],
+                             ids=["lstm", "gru"])
+    def test_design_rounds_the_capacity_bound(self, spec, platform, bits):
+        """``build_design`` and ``pe_capacity`` share one PE bound; the
+        design only rounds it down so every CU gets the same PE count."""
+        accel = AccelSpec(platform, weight_bits=bits, input_bits=bits)
+        capacity = pe_capacity(spec, accel)
+        design = build_design(spec, accel)
+        assert design.num_pes == (capacity // design.num_cus) * design.num_cus
+        assert design.num_pes <= capacity < design.num_pes + design.num_cus
 
     def test_three_cus_by_default(self):
         design = build(lstm_spec())

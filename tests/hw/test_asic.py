@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import AccelSpec, RNNSpec
 from repro.errors import ConfigError
-from repro.hw.accelerator import AcceleratorModel
+from repro.hw.accelerator import build_design
 from repro.hw.asic import TSMC28_LIKE, ASICProcess, project_to_asic
 
 
@@ -14,7 +14,7 @@ def fpga_design():
         "lstm", 153, (1024,), 39, block_sizes=(8,),
         peephole=True, projection_size=512,
     )
-    return AcceleratorModel(spec, AccelSpec("XCKU060")).build()
+    return build_design(spec, AccelSpec("XCKU060"))
 
 
 class TestProjection:

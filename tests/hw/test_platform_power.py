@@ -80,11 +80,11 @@ class TestPower:
     def test_paper_7v3_operating_range(self):
         """E-RNN designs measured 22-29 W on the 7V3 (Table III)."""
         from repro.config import AccelSpec, RNNSpec
-        from repro.hw.accelerator import AcceleratorModel
+        from repro.hw.accelerator import build_design
 
         spec = RNNSpec(
             "lstm", 153, (1024,), 39, block_sizes=(8,),
             peephole=True, projection_size=512,
         )
-        design = AcceleratorModel(spec, AccelSpec("ADM-PCIE-7V3")).build()
+        design = build_design(spec, AccelSpec("ADM-PCIE-7V3"))
         assert 20.0 <= design.power_watts <= 30.0

@@ -1,6 +1,9 @@
 """Runtime-routed dataset metrics: byte-compatibility and new backends."""
 
+import warnings
+
 import numpy as np
+import pytest
 
 from repro.nn.autograd import no_grad
 from repro.nn.data import iterate_batches
@@ -37,6 +40,27 @@ class TestByteCompatibility:
         assert evaluate_per(trained_dense, test, batch_size=2) == _legacy_per(
             trained_dense, test, batch_size=2
         )
+
+    @pytest.mark.parametrize("batch_size", [1, 4, 8])
+    def test_per_matches_legacy_loop_at_batch_size(
+        self, batch_size, trained_dense, micro_datasets
+    ):
+        _, test = micro_datasets
+        assert evaluate_per(
+            trained_dense, test, batch_size=batch_size
+        ) == _legacy_per(trained_dense, test, batch_size=batch_size)
+
+    @pytest.mark.parametrize(
+        "metric", [evaluate_per, evaluate_frame_accuracy],
+        ids=["evaluate_per", "evaluate_frame_accuracy"],
+    )
+    def test_metrics_warn_nothing(self, metric, trained_dense, micro_datasets):
+        _, test = micro_datasets
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = metric(trained_dense, test, batch_size=4)
+        assert not caught
+        assert np.isfinite(value)
 
     def test_workers_do_not_change_per(self, trained_dense, micro_datasets):
         _, test = micro_datasets

@@ -109,6 +109,7 @@ class TestPublishFaults:
         stream = _stream(8)
         with NetServer(
             fixed_compiled, workers=1, faults="drop_publish:after=4",
+            drain_timeout_s=1.0,
         ) as server:
             with Client(*server.address, timeout=2.0) as client:
                 session = client.session("dropped")

@@ -174,14 +174,19 @@ class TestConcurrentClose:
 
 
 class TestDispatcherDeath:
-    def test_pending_futures_fail_instead_of_hanging(self):
+    def test_pending_futures_fail_instead_of_hanging(self, monkeypatch):
         """A dead dispatcher must fail queued pushes, not strand them.
 
         Pre-PR, an unexpected exception on the dispatcher thread (forced
         here via a poisoned ``_fill_target``) left every queued future
         unresolved: the blocked ``push()`` hung forever and so did any
-        subsequent ``close()`` caller's expectations.
+        subsequent ``close()`` caller's expectations.  The exception still
+        escapes the dispatcher thread; it is captured and checked here.
         """
+        escaped: list[BaseException] = []
+        monkeypatch.setattr(
+            threading, "excepthook", lambda args: escaped.append(args.exc_value)
+        )
         server = Server(SlowCompiled(delay_s=0.01), max_batch=4,
                         max_delay_s=0.01)
         server._fill_target = _raise_runtime_error  # poison the dispatcher
@@ -203,6 +208,9 @@ class TestDispatcherDeath:
         with pytest.raises(ConfigError):
             server.session().push(np.zeros(INPUT))
         server.close()  # returns promptly: dispatcher already dead
+        assert len(escaped) == 1
+        assert type(escaped[0]) is RuntimeError
+        assert str(escaped[0]) == "poisoned scheduler (test-injected)"
 
 
 def _swallow_config_error(fn, *args):

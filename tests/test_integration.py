@@ -14,8 +14,8 @@ from repro.config import AccelSpec, RNNSpec
 from repro.core.admm import ADMMConfig
 from repro.core.flow import ernn_compress
 from repro.core.phase2 import PhaseIIConfig, PhaseIIOptimizer
-from repro.hls.framework import HLSFramework
-from repro.hw.accelerator import AcceleratorModel
+from repro.hls.framework import build_hls
+from repro.hw.accelerator import build_design
 from repro.hw.quantize import quantized_copy, quantized_dataset
 
 
@@ -53,12 +53,12 @@ class TestTrainCompressEvaluate:
 
 class TestHardwarePath:
     def test_accelerator_for_compressed_spec(self, compressed):
-        design = AcceleratorModel(compressed.spec, AccelSpec("XCKU060")).build()
+        design = build_design(compressed.spec, AccelSpec("XCKU060"))
         assert design.latency_us > 0
         assert design.fps > 0
 
     def test_hls_flow_for_compressed_spec(self, compressed):
-        result = HLSFramework(compressed.spec, AccelSpec("XCKU060")).build()
+        result = build_hls(compressed.spec, AccelSpec("XCKU060"))
         assert result.code.count("{") == result.code.count("}")
         assert result.frame_cycles > 0
 
@@ -114,5 +114,5 @@ class TestCrossCellTypes:
         )
         per = evaluate_per(result.model, test)
         assert 0.0 <= per <= 150.0
-        design = AcceleratorModel(result.model.spec, AccelSpec("XCKU060")).build()
+        design = build_design(result.model.spec, AccelSpec("XCKU060"))
         assert design.fps > 0
