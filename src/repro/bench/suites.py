@@ -578,7 +578,8 @@ def bench_netserver(quick: bool) -> BenchResult:
             f"LSTM-{hidden} block 8 fixed backend served over TCP; "
             f"{clients} net clients x {frames} blocking pushes per worker "
             "count; every configuration's served bytes asserted identical "
-            "to standalone sessions before timing.  Worker scaling is "
+            "to standalone sessions before timing.  Recorded on "
+            f"{environment_info()['cpus']} CPU(s); worker scaling is "
             "core-bound: judge scaling_peak_vs_1w against environment.cpus"
         ),
         metrics={

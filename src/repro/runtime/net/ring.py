@@ -16,13 +16,19 @@ single-writer 8-byte counters in the segment header — on CPython an
 aligned 8-byte ``memoryview`` store is a single memcpy, and the per-slot
 seq check backstops the ordering either way.
 
-The rings carry no wakeups of their own.  Doorbells ride the existing
-``multiprocessing`` queues, coalesced through a kick flag in the segment
-header: the producer publishes, then enqueues a ``("kick",)`` message
-only if it transitions the flag 0→1; the consumer clears the flag
-*before* draining.  A burst of N frames therefore costs one queue
-message, not N — and the publish-then-check / clear-then-drain order
-makes a lost wakeup impossible.
+The rings carry no wakeups of their own.  Each worker generation also
+gets two one-byte *doorbell* pipes (``multiprocessing.Pipe(duplex=False)``),
+one per direction, rung with :func:`ring_doorbell` and taken with
+:func:`take_doorbell`.  The worker blocks on its request doorbell and
+its control queue at once; the parent's event loop watches the response
+doorbell with ``loop.add_reader``.  No pickling, feeder thread or relay
+thread sits between a published frame and the thread that drains it.
+Doorbells are coalesced through a kick flag in the segment header: the
+producer publishes, then writes a doorbell byte only if it transitions
+the flag 0→1; the consumer takes the pending bytes, then clears the flag
+*before* draining.  A burst of N frames therefore costs one doorbell
+byte, not N — and the publish-then-check / clear-then-drain order makes
+a lost wakeup impossible.
 
 Payloads larger than a slot (or any traffic when the box has no usable
 shared memory — ``transport="pipe"``) fall back to the queues; an
@@ -37,12 +43,13 @@ destroy the segment when the first worker exits).
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import Any
 
 from repro.errors import ReproError
 
-__all__ = ["RingPair", "Ring", "RingError"]
+__all__ = ["RingPair", "Ring", "RingError", "ring_doorbell", "take_doorbell"]
 
 _U64 = struct.Struct("<Q")
 #: seq, ticket, seq_no, emit_seq, op, flags, ndim, pad, nbytes, dims[4], slen
@@ -65,6 +72,31 @@ OP_SCORE = 8  # payload: (K,) little-endian int64 token ids
 
 class RingError(ReproError):
     """A shared-memory ring slot failed its consistency check."""
+
+
+def ring_doorbell(fd: int) -> None:
+    """Write one wake-up byte to a non-blocking doorbell pipe.
+
+    ``EAGAIN`` (a full pipe) means wake-ups are already pending, and
+    ``EPIPE`` means the reading side is gone (its process died or was
+    replaced, which supervision handles) — neither is an error here.
+    """
+    try:
+        os.write(fd, b"\x01")
+    except (BlockingIOError, BrokenPipeError):
+        pass
+
+
+def take_doorbell(fd: int) -> bool:
+    """Swallow every pending wake-up byte of a non-blocking doorbell.
+
+    Returns False at EOF — every writer has closed, so the caller must
+    stop watching the fd instead of spinning on its readiness.
+    """
+    try:
+        return os.read(fd, 4096) != b""
+    except BlockingIOError:
+        return True  # readiness raced a previous take: nothing pending
 
 
 class _Entry:
@@ -284,7 +316,7 @@ class RingPair:
     # -- kick flags (doorbell coalescing) ------------------------------
     def ring_kick(self, *, responses: bool) -> bool:
         """Producer side: arm the kick flag; True when the caller must
-        actually enqueue the doorbell message (the flag was clear)."""
+        actually ring the doorbell (the flag was clear)."""
         off = self._res_kick_off if responses else self._req_kick_off
         if self._shm.buf[off]:
             return False

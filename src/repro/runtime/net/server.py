@@ -15,10 +15,10 @@ traffic and for v1 clients, and the length-prefixed binary v2 frames for
 ``push``/``push_many`` payloads once a client negotiates ``protocol: 2``
 in its ``open`` handshake.  Payloads cross the process boundary through
 a per-worker ``multiprocessing.shared_memory`` ring
-(:mod:`repro.runtime.net.ring`) instead of pickled pipes — doorbells are
-coalesced queue messages, slots seqlock-checked — with
-``transport="pipe"`` retained as the fallback (and as the bench
-baseline).
+(:mod:`repro.runtime.net.ring`) instead of pickled pipes — wake-ups are
+coalesced one-byte doorbell pipes the event loop watches directly, slots
+seqlock-checked — with ``transport="pipe"`` retained as the fallback
+(and as the bench baseline).
 
 Flow control is explicit: each connection may have at most
 ``queue_limit`` requests in flight; one more gets an immediate ``busy``
@@ -42,6 +42,7 @@ import base64
 import hashlib
 import itertools
 import json
+import os
 import signal
 import struct
 import sys
@@ -93,6 +94,8 @@ from repro.runtime.net.ring import (
     OP_SCORE,
     RingError,
     RingPair,
+    ring_doorbell,
+    take_doorbell,
 )
 
 __all__ = ["NetServer", "route_session"]
@@ -202,6 +205,70 @@ class _FrameReader:
                     self._buf.clear()
                     return line
                 return None
+
+
+class _Doorbells:
+    """The parent's ends of one worker generation's doorbell pipes.
+
+    ``kick`` wakes the worker after a request-ring publish; ``bell`` is
+    the response doorbell the event loop watches with ``add_reader``.
+    Both ends are non-blocking.  :meth:`close` is idempotent — EOF,
+    worker death and shutdown may each reach it.
+    """
+
+    __slots__ = ("gen", "watched", "_kick", "_bell")
+
+    def __init__(self, gen: int, kick: Any, bell: Any):
+        self.gen = gen
+        self.watched = False  # registered with the event loop
+        self._kick = kick
+        self._bell = bell
+        os.set_blocking(kick.fileno(), False)
+        os.set_blocking(bell.fileno(), False)
+
+    @property
+    def bell_fd(self) -> int:
+        return self._bell.fileno()
+
+    def kick(self) -> None:
+        if self._kick is not None:
+            ring_doorbell(self._kick.fileno())
+
+    def take(self) -> bool:
+        """Swallow pending response wake-ups; False at EOF or once closed."""
+        return self._bell is not None and take_doorbell(self._bell.fileno())
+
+    def close(self) -> None:
+        for end in (self._kick, self._bell):
+            if end is not None:
+                end.close()
+        self._kick = self._bell = None
+
+
+class _Spawn:
+    """One worker generation as spawned: its process and its channels."""
+
+    __slots__ = ("index", "gen", "proc", "requests", "replies", "rings",
+                 "bells")
+
+    def __init__(self, index: int, gen: int):
+        self.index = index
+        self.gen = gen
+        self.proc: Any = None
+        self.requests: Any = None
+        self.replies: Any = None
+        self.rings: RingPair | None = None
+        self.bells: _Doorbells | None = None
+
+    def discard(self) -> None:
+        """Tear down a generation that was never installed."""
+        if self.proc is not None and self.proc.is_alive():
+            self.proc.terminate()
+        if self.rings is not None:
+            self.rings.close()
+            self.rings.unlink()
+        if self.bells is not None:
+            self.bells.close()
 
 
 class _Conn:
@@ -379,9 +446,10 @@ class NetServer:
         # hang every *surviving* worker's replies.  Isolated queues bound
         # the blast radius to the dead worker's own (already lost) replies.
         self._reply_queues: list[Any] = []
-        # Ring slots may hold None after a respawn falls back to pipes;
-        # the list stays empty under transport="pipe".
+        # Ring and doorbell slots hold None for a generation on the
+        # pipe path (transport="pipe", or a respawn without shm).
         self._rings: list[RingPair | None] = []
+        self._doorbells: list[_Doorbells | None] = []
         # (worker index, generation, thread) — the generation lets
         # shutdown skip pumps whose queue a dead worker may have poisoned.
         self._pumps: list[tuple[int, int, threading.Thread]] = []
@@ -572,10 +640,6 @@ class NetServer:
     # Worker lifecycle (caller threads).
     # ------------------------------------------------------------------
     def _spawn_workers(self) -> None:
-        import multiprocessing as mp
-
-        from repro.runtime.net.worker import worker_main
-
         if self._artifact_path is None:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-net-")
             self._artifact_path = (
@@ -583,40 +647,57 @@ class NetServer:
             )
             self._compiled.save(self._artifact_path)
 
-        if self.transport == "shm":
-            try:
-                self._rings = [
-                    RingPair.create(self.ring_slots, self.slot_bytes)
-                    for _ in range(self.workers)
-                ]
-            except Exception as error:  # repro: ignore[REP005] no usable /dev/shm is an environment, not a caller, problem; the pipe path serves identically
-                for rings in self._rings:
-                    rings.close()
-                    rings.unlink()
-                self._rings = []
-                self.transport = "pipe"
-                print(
-                    f"repro.net: shared memory unavailable ({error}); "
-                    "falling back to transport='pipe'",
-                    file=sys.stderr,
-                )
-        self._ring_results = [0] * self.workers
-        self._emit_expected = [0] * self.workers
-        self._emit_holdback = [dict() for _ in range(self.workers)]
+        count = self.workers
+        self._ring_results = [0] * count
+        self._emit_expected = [0] * count
+        self._emit_holdback = [dict() for _ in range(count)]
         now = time.monotonic()
-        self._gen = [0] * self.workers
-        self._worker_state = ["up"] * self.workers
-        self._restarts = [0] * self.workers
-        self._restart_times = [deque() for _ in range(self.workers)]
-        self._started_at = [now] * self.workers
-        self._last_hb = [now] * self.workers
+        self._gen = [0] * count
+        self._worker_state = ["up"] * count
+        self._restarts = [0] * count
+        self._restart_times = [deque() for _ in range(count)]
+        self._started_at = [now] * count
+        self._last_hb = [now] * count
+        self._procs = [None] * count
+        self._worker_queues = [None] * count
+        self._reply_queues = [None] * count
+        self._rings = [None] * count
+        self._doorbells = [None] * count
+        spawns: list[_Spawn] = []
+        try:
+            # Start every process before waiting on any: the fleet loads
+            # its artifact in parallel.
+            for index in range(count):
+                spawns.append(self._spawn_worker(index, 0))
+                self._place(spawns[-1])
+            if self.transport == "shm" and not any(self._rings):
+                self.transport = "pipe"
+                print("repro.net: falling back to transport='pipe'",
+                      file=sys.stderr)
+            deadline = time.monotonic() + self.spawn_timeout_s
+            for spawn in spawns:
+                self._await_ready(spawn, deadline)
+        except BaseException:
+            self._shutdown_workers()
+            raise
+
+    def _spawn_worker(self, index: int, gen: int) -> _Spawn:
+        """Start one worker generation: queues, ring, doorbells, process.
+
+        The one spawn path for the initial fleet and every respawn; wait
+        for ``ready`` with :meth:`_await_ready`.  Faults arm generation 0
+        only — respawns come up clean.
+        """
+        import multiprocessing as mp
+
+        from repro.runtime.net.worker import worker_main
 
         # "spawn" everywhere: the parent runs an event loop plus threads,
         # which fork() would duplicate into undefined territory.
         ctx = mp.get_context("spawn")
-        self._reply_queues = [ctx.Queue() for _ in range(self.workers)]
-        self._worker_queues = [ctx.Queue() for _ in range(self.workers)]
-        for queue in self._reply_queues + self._worker_queues:
+        spawn = _Spawn(index, gen)
+        spawn.requests, spawn.replies = ctx.Queue(), ctx.Queue()
+        for queue in (spawn.requests, spawn.replies):
             # Never let interpreter exit join our feeder threads: a
             # worker killed while holding a queue's write lock leaves
             # that feeder blocked forever, and multiprocessing's atexit
@@ -625,59 +706,103 @@ class NetServer:
             # confirmed out-of-band (worker joins / ready handshakes), so
             # dropping unflushed bytes at exit is safe.
             queue.cancel_join_thread()
-        self._procs = [
-            ctx.Process(
-                target=worker_main,
-                args=(
-                    index,
-                    str(self._artifact_path),
-                    self._worker_queues[index],
-                    self._reply_queues[index],
-                    self.max_batch,
-                    self.max_delay_s,
-                    self._rings[index].name if self._rings else None,
-                    self.ring_slots,
-                    self.slot_bytes,
-                    self.inline_rows,
-                    self.session_cap,
-                    self.faults or None,
-                ),
-                name=f"repro-net-worker-{index}",
-                daemon=True,
-            )
-            for index in range(self.workers)
-        ]
-        for proc in self._procs:
-            proc.start()
-        deadline = time.monotonic() + self.spawn_timeout_s
-        for index, proc in enumerate(self._procs):
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._shutdown_workers()
+        if self.transport == "shm":
+            try:
+                spawn.rings = RingPair.create(self.ring_slots, self.slot_bytes)
+            except (OSError, ValueError, RingError) as error:
+                print(
+                    f"repro.net: worker {index}: shared memory unavailable "
+                    f"({error}); using the pipe path",
+                    file=sys.stderr,
+                )
+        child_ends: tuple = (None, None)
+        if spawn.rings is not None:
+            kick_rx, kick_tx = ctx.Pipe(duplex=False)
+            bell_rx, bell_tx = ctx.Pipe(duplex=False)
+            spawn.bells = _Doorbells(gen, kick_tx, bell_rx)
+            child_ends = (kick_rx, bell_tx)
+        spawn.proc = ctx.Process(
+            target=worker_main,
+            args=(
+                index, str(self._artifact_path), spawn.requests,
+                spawn.replies, self.max_batch, self.max_delay_s,
+                spawn.rings.name if spawn.rings is not None else None,
+                self.ring_slots, self.slot_bytes, self.inline_rows,
+                self.session_cap, (self.faults or None) if gen == 0 else None,
+                *child_ends,
+            ),
+            name=f"repro-net-worker-{index}" + (f"g{gen}" if gen else ""),
+            daemon=True,
+        )
+        try:
+            spawn.proc.start()
+        except BaseException:
+            spawn.discard()
+            raise
+        finally:
+            # The child holds its own copies now.  Closing the parent's
+            # is what lets the response doorbell reach EOF when the
+            # worker dies.
+            for end in child_ends:
+                if end is not None:
+                    end.close()
+        return spawn
+
+    def _await_ready(self, spawn: _Spawn, deadline: float) -> None:
+        """Block until a spawned worker reports ``ready`` (caller thread)."""
+        proc = spawn.proc
+        while not self._closing:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise ConfigError(
+                    f"worker {spawn.index} not ready after "
+                    f"{self.spawn_timeout_s:g}s (spawn_timeout_s)"
+                )
+            try:
+                message = spawn.replies.get(timeout=min(remaining, 0.2))
+            except (Empty, OSError, ValueError):
+                if not proc.is_alive() and proc.exitcode not in (0, None):
                     raise ConfigError(
-                        f"worker {index} not ready after "
-                        f"{self.spawn_timeout_s:g}s (spawn_timeout_s)"
-                    )
-                try:
-                    message = self._reply_queues[index].get(
-                        timeout=min(remaining, 1.0)
-                    )
-                except (Empty, OSError, ValueError):
-                    if not proc.is_alive() and proc.exitcode not in (0, None):
-                        self._shutdown_workers()
-                        raise ConfigError(
-                            f"worker process {proc.name} died during startup"
-                        )
-                    continue
-                if message[0] == "ready":
-                    break
-                if message[0] == "fatal":
-                    self._shutdown_workers()
-                    raise ConfigError(message[2])
+                        f"worker process {proc.name} died during startup"
+                    ) from None
+                continue
+            if message[0] == "ready":
+                return
+            if message[0] == "fatal":
+                raise ConfigError(message[2])
+        raise ConfigError("server is closing")
+
+    def _place(self, spawn: _Spawn) -> None:
+        """Make a spawned generation the live one for its worker slot."""
+        index = spawn.index
+        self._procs[index] = spawn.proc
+        self._worker_queues[index] = spawn.requests
+        self._reply_queues[index] = spawn.replies
+        self._rings[index] = spawn.rings
+        self._doorbells[index] = spawn.bells
+
+    def _watch_doorbell(self, index: int, bells: _Doorbells) -> None:
+        """Route a generation's response doorbell into the event loop."""
+        self._loop.add_reader(bells.bell_fd, self._on_doorbell, index, bells)
+        bells.watched = True
+
+    def _retire_doorbells(self, bells: _Doorbells | None) -> None:
+        """Unregister (if watched) and close one generation's doorbells.
+
+        Event-loop thread, or any thread once the loop has stopped.
+        """
+        if bells is None:
+            return
+        if bells.watched:
+            bells.watched = False
+            if self._loop is not None and not self._loop.is_closed():
+                self._loop.remove_reader(bells.bell_fd)
+        bells.close()
 
     def _shutdown_workers(self) -> None:
         for q in self._worker_queues:
+            if q is None:
+                continue
             try:
                 q.put(("shutdown",))
             except (ValueError, OSError):
@@ -687,17 +812,23 @@ class NetServer:
                 # surprise).
                 pass
         for proc in self._procs:
+            if proc is None:
+                continue  # an initial spawn failed before this slot
             proc.join(timeout=15)
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5)
-        for index, queue in enumerate(self._reply_queues):
+        for queue in self._reply_queues:
+            if queue is None:
+                continue
             try:
                 queue.put(None)  # stop that worker's pump
             except (ValueError, OSError):
                 # A dead worker may have broken the queue; its pump
                 # stays a daemon thread by design.
                 pass
+        for bells in self._doorbells:
+            self._retire_doorbells(bells)
         for index, gen, pump in self._pumps:
             # Join only pumps of the CURRENT generation whose worker
             # exited cleanly: a worker that died uncleanly (or an old
@@ -711,12 +842,12 @@ class NetServer:
                 pump.join(timeout=10)
         for rings in self._rings:
             # Workers have exited (or been terminated): the parent owns
-            # the segment's end of life.  Restarted-into-pipe slots hold
-            # None.
+            # the segment's end of life.  Pipe-path slots hold None.
             if rings is not None:
                 rings.close()
                 rings.unlink()
         self._rings = []
+        self._doorbells = []
         self._pumps = []
         self._procs = []
         self._worker_queues = []
@@ -725,10 +856,13 @@ class NetServer:
     def _pump_replies(self, index: int, gen: int, replies: Any) -> None:
         """Move one worker's replies onto the event loop (which owns conns).
 
-        Each pump serves exactly one worker *generation*; after a
-        restart the event-loop handlers drop anything tagged with a
-        stale generation, so a late reply from a replaced worker can
-        never corrupt the new one's emission order.
+        Only cold-path traffic travels here — control and error replies,
+        oversized payloads, heartbeats, fatal reports; ring results wake
+        the loop through the response doorbell instead.  Each pump
+        serves exactly one worker *generation*; after a restart the
+        event-loop handlers drop anything tagged with a stale
+        generation, so a late reply from a replaced worker can never
+        corrupt the new one's emission order.
         """
         while True:
             message = replies.get()
@@ -736,11 +870,7 @@ class NetServer:
                 return
             kind = message[0]
             try:
-                if kind == "ring":
-                    self._loop.call_soon_threadsafe(
-                        self._drain_responses, index, gen
-                    )
-                elif kind == "res":
+                if kind == "res":
                     _, key, emit_seq, payload = message
                     self._loop.call_soon_threadsafe(
                         self._deliver_queued, index, gen, key, emit_seq,
@@ -779,6 +909,9 @@ class NetServer:
             self._port,
         )
         self._port = server.sockets[0].getsockname()[1]
+        for index, bells in enumerate(self._doorbells):
+            if bells is not None:
+                self._watch_doorbell(index, bells)
         reaper = asyncio.ensure_future(self._reap_loop())
         self._started.set()
         await self._stop_async.wait()
@@ -1130,7 +1263,7 @@ class NetServer:
                 "this connection; ids must be unique until answered"
             ))
             return
-        rings = self._rings[worker] if self._rings else None
+        rings = self._rings[worker]
         if rings is not None and (
             rings.requests.free_slots() < 1
             or (op in _RING_RESULT_OPS
@@ -1167,7 +1300,7 @@ class NetServer:
                 session=session_bytes, external=external,
             )
             if rings.ring_kick(responses=False):
-                self._worker_queues[worker].put(("kick",))
+                self._doorbells[worker].kick()
         else:
             self._worker_queues[worker].put(
                 ("req", ticket, opcode, session, payload,
@@ -1282,12 +1415,13 @@ class NetServer:
         self._emit_holdback[index].clear()
         self._emit_expected[index] = 0
         self._ring_results[index] = 0
-        if self._rings:
-            old = self._rings[index]
-            if old is not None:
-                old.close()
-                old.unlink()
-                self._rings[index] = None
+        self._retire_doorbells(self._doorbells[index])
+        self._doorbells[index] = None
+        old = self._rings[index]
+        if old is not None:
+            old.close()
+            old.unlink()
+            self._rings[index] = None
         try:
             # Wake the dead generation's pump so it exits (best-effort:
             # a poisoned queue leaves it a blocked daemon thread).
@@ -1358,76 +1492,19 @@ class NetServer:
 
         The spawn and ready-wait take whole seconds (interpreter +
         numpy + artifact load), far too long for the event loop; only
-        the final installation hop is marshalled back onto it.  Faults
-        arm the initial generation only — respawns come up clean.
+        the final installation hop is marshalled back onto it.
         """
-        import multiprocessing as mp
-
-        from repro.runtime.net.worker import worker_main
-
         began = time.monotonic()
-        rings = None
-        proc = None
-        requests = replies = None
+        spawn = None
         try:
-            if self.transport == "shm" and self._rings:
-                try:
-                    rings = RingPair.create(self.ring_slots, self.slot_bytes)
-                except (OSError, ValueError, RingError) as error:
-                    print(
-                        f"repro.net: worker {index} respawn: shared memory "
-                        f"unavailable ({error}); using the pipe path",
-                        file=sys.stderr,
-                    )
-                    rings = None
-            ctx = mp.get_context("spawn")
-            requests, replies = ctx.Queue(), ctx.Queue()
-            requests.cancel_join_thread()
-            replies.cancel_join_thread()
-            proc = ctx.Process(
-                target=worker_main,
-                args=(
-                    index, str(self._artifact_path), requests, replies,
-                    self.max_batch, self.max_delay_s,
-                    rings.name if rings is not None else None,
-                    self.ring_slots, self.slot_bytes, self.inline_rows,
-                    self.session_cap, None,
-                ),
-                name=f"repro-net-worker-{index}g{gen}",
-                daemon=True,
-            )
-            proc.start()
-            deadline = time.monotonic() + self.spawn_timeout_s
-            ready = False
-            while time.monotonic() < deadline and not self._closing:
-                try:
-                    message = replies.get(timeout=0.2)
-                except (Empty, OSError, ValueError):
-                    if not proc.is_alive() and proc.exitcode not in (0, None):
-                        raise ConfigError(
-                            f"worker {index} died during respawn"
-                        ) from None
-                    continue
-                if message[0] == "ready":
-                    ready = True
-                    break
-                if message[0] == "fatal":
-                    raise ConfigError(message[2])
-            if self._closing:
-                raise ConfigError("server is closing")
-            if not ready:
-                raise ConfigError(
-                    f"worker {index} respawn not ready after "
-                    f"{self.spawn_timeout_s:g}s (spawn_timeout_s)"
-                )
+            spawn = self._spawn_worker(index, gen)
+            self._await_ready(spawn, began + self.spawn_timeout_s)
             box = {"installed": False}
             done = threading.Event()
 
             def install() -> None:
                 try:
-                    box["installed"] = self._install_worker(
-                        index, gen, proc, requests, replies, rings, began
-                    )
+                    box["installed"] = self._install_worker(spawn, began)
                 finally:
                     done.set()
 
@@ -1437,11 +1514,8 @@ class NetServer:
                     f"worker {index} respawn could not be installed"
                 )
         except (ConfigError, OSError, ValueError, RuntimeError) as error:
-            if proc is not None and proc.is_alive():
-                proc.terminate()
-            if rings is not None:
-                rings.close()
-                rings.unlink()
+            if spawn is not None:
+                spawn.discard()
             try:
                 self._loop.call_soon_threadsafe(
                     self._on_restart_failed, index, gen, str(error)
@@ -1449,10 +1523,9 @@ class NetServer:
             except RuntimeError:
                 pass  # loop gone; close() owns the cleanup from here
 
-    def _install_worker(self, index: int, gen: int, proc: Any,
-                        requests: Any, replies: Any, rings: Any,
-                        began: float) -> bool:
+    def _install_worker(self, spawn: _Spawn, began: float) -> bool:
         """Adopt a respawned worker (event loop).  False rejects it."""
+        index, gen = spawn.index, spawn.gen
         if (
             self._closing
             or self._draining
@@ -1461,11 +1534,9 @@ class NetServer:
             or self._worker_state[index] != "restarting"
         ):
             return False
-        self._procs[index] = proc
-        self._worker_queues[index] = requests
-        self._reply_queues[index] = replies
-        if self._rings:
-            self._rings[index] = rings
+        self._place(spawn)
+        if spawn.bells is not None:
+            self._watch_doorbell(index, spawn.bells)
         now = time.monotonic()
         self._worker_state[index] = "up"
         self._started_at[index] = now
@@ -1475,7 +1546,7 @@ class NetServer:
         self._ring_results[index] = 0
         pump = threading.Thread(
             target=self._pump_replies,
-            args=(index, gen, replies),
+            args=(index, gen, spawn.replies),
             name=f"repro-net-pump-{index}g{gen}",
             daemon=True,
         )
@@ -1544,8 +1615,18 @@ class NetServer:
         }
 
     # -- worker reply paths (event-loop thread) ------------------------
+    def _on_doorbell(self, worker: int, bells: _Doorbells) -> None:
+        """A response doorbell is readable (``add_reader`` callback)."""
+        if not bells.take():
+            # EOF: the worker's end closed, so the worker exited.
+            # Unregister first so the loop never spins on a dead fd; the
+            # supervisor tick owns the death itself.  Results it
+            # published before dying are still drained below.
+            self._retire_doorbells(bells)
+        self._drain_responses(worker, bells.gen)
+
     def _drain_responses(self, worker: int, gen: int) -> None:
-        """A response-ring doorbell fired: clear the kick, drain the ring."""
+        """Clear the response kick, then drain the response ring."""
         if worker >= len(self._gen) or gen != self._gen[worker]:
             return  # a replaced generation's doorbell; its ring is gone
         rings = self._rings[worker] if worker < len(self._rings) else None
@@ -1573,7 +1654,7 @@ class NetServer:
                 return
             if entry is None:
                 return
-            item = ("ring", entry.op, entry.seq_no,
+            item = ("slot", entry.op, entry.seq_no,
                     bytes(entry.payload), entry.shape, entry.ticket)
             ring.advance()
             self._deliver_ordered(worker, entry.emit_seq, item)
@@ -1602,7 +1683,7 @@ class NetServer:
             self._deliver_item(next_item)
 
     def _deliver_item(self, item: tuple) -> None:
-        if item[0] == "ring":
+        if item[0] == "slot":
             _, opcode, seq_no, payload, shape, ticket = item
             info = self._inflight_reqs.pop(ticket, None)
             if info is None:

@@ -23,8 +23,11 @@ step_inline`) instead of paying two dispatcher wakeups per frame —
 baseline).
 
 Transport: with a :class:`~repro.runtime.net.ring.RingPair` attached,
-request payloads arrive in shared-memory ring slots (doorbells coalesced
-on the request queue) and result payloads leave the same way; the pickled
+request payloads arrive in shared-memory ring slots and result payloads
+leave the same way.  Wake-ups for both rings are one-byte doorbell pipes
+(coalesced through the ring's kick flags): the consumer thread blocks on
+its request doorbell and the request queue together, and rings the
+response doorbell that the parent's event loop watches.  The pickled
 queue path remains for control replies, oversized payloads, and the
 ``transport="pipe"`` fallback.  Every per-ticket reply — ring or queue —
 carries a per-worker ``emit_seq`` so the parent restores emission order
@@ -32,7 +35,6 @@ across the two paths.
 
 Parent → worker messages (tuples on the request queue)::
 
-    ("kick",)                                       # drain the request ring
     ("payload", bytes)                              # oversized ring entry's payload
     ("req", ticket, op, session, payload, shape)    # pipe-transport request
     ("stats", token)
@@ -46,7 +48,6 @@ shared between workers, so one worker's death cannot poison another's
 queue locks)::
 
     ("ready", index)                    # artifact loaded, serving
-    ("ring",)                           # drain the response ring
     ("res", key, emit_seq, reply)       # reply dict; key = ticket or stats token
     ("hb", index, token)                # heartbeat echo
     ("fatal", index, message)           # the worker is dead
@@ -61,11 +62,14 @@ if every session is busy.  Eviction counters ride the ``stats`` reply.
 from __future__ import annotations
 
 import json
+import os
 import signal
 import threading
 import time
 from collections import deque
 from concurrent.futures import Future
+from multiprocessing.connection import wait as wait_readable
+from queue import Empty
 from typing import Any
 
 import numpy as np
@@ -84,6 +88,8 @@ from repro.runtime.net.ring import (
     OP_RESET,
     OP_SCORE,
     RingPair,
+    ring_doorbell,
+    take_doorbell,
 )
 
 __all__ = ["worker_main"]
@@ -106,7 +112,6 @@ def _watch_parent() -> None:
     worker per kill.
     """
     import multiprocessing as mp
-    import os
 
     parent = mp.parent_process()
     if parent is None:  # directly invoked, not spawned: nothing to watch
@@ -175,11 +180,13 @@ class _Scheduler:
 
     def __init__(self, index: int, compiled: Any, server: Any,
                  rings: RingPair | None, replies: Any, *,
-                 inline: bool = True, session_cap: int | None = None,
+                 bell: Any = None, inline: bool = True,
+                 session_cap: int | None = None,
                  faults: FaultInjector | None = None):
         self._index = index
         self._server = server
         self._rings = rings
+        self._bell_fd = bell.fileno() if bell is not None else -1
         self._replies = replies
         self._inline = inline
         self._session_cap = session_cap
@@ -568,28 +575,7 @@ class _Scheduler:
             # the client's timeout + reattach is the recovery path.
             self._settle_one()
             return
-        emit_seq = self._next_emit()
-        rings = self._rings
-        if (
-            rings is not None
-            and len(payload) <= rings.responses.payload_capacity
-            and rings.responses.try_push(
-                op_item.op, op_item.ticket, values.shape, payload,
-                seq_no=sess.frames, emit_seq=emit_seq,
-            )
-        ):
-            if action == "corrupt":
-                # Published, then torn: the parent's seqlock check must
-                # refuse the slot and the supervisor replace this worker.
-                rings.responses.corrupt_last_published()
-            if rings.ring_kick(responses=True):
-                self._replies.put(("ring",))
-        else:
-            self._replies.put(("res", op_item.ticket, emit_seq, {
-                "ok": True, "type": op_name, "seq": sess.frames,
-                "raw": (payload, list(values.shape)),
-            }))
-        self._settle_one()
+        self._publish(sess, op_item, op_name, values, payload, action)
 
     def _emit_driver_result(self, sess: _WireSession, op_item: _Op) -> None:
         """A completed generate/score op's reply.
@@ -610,31 +596,40 @@ class _Scheduler:
                 result["logprobs"], dtype=np.float64
             )
             payload = values.astype("<f8", copy=False).tobytes()
-            emit_seq = self._next_emit()
-            rings = self._rings
-            if (
-                rings is not None
-                and len(payload) <= rings.responses.payload_capacity
-                and rings.responses.try_push(
-                    op_item.op, op_item.ticket, values.shape, payload,
-                    seq_no=sess.frames, emit_seq=emit_seq,
-                )
-            ):
-                if action == "corrupt":
-                    rings.responses.corrupt_last_published()
-                if rings.ring_kick(responses=True):
-                    self._replies.put(("ring",))
-            else:
-                self._replies.put(("res", op_item.ticket, emit_seq, {
-                    "ok": True, "type": "score", "seq": sess.frames,
-                    "raw": (payload, list(values.shape)),
-                }))
-            self._settle_one()
+            self._publish(sess, op_item, "score", values, payload, action)
             return
         self._replies.put(("res", op_item.ticket, self._next_emit(), {
             "ok": True, "type": "generate", "seq": sess.frames,
             "tokens": result["tokens"],
         }))
+        self._settle_one()
+
+    def _publish(self, sess: _WireSession, op_item: _Op, op_name: str,
+                 values: np.ndarray, payload: bytes,
+                 action: str | None) -> None:
+        """One payload reply: ring slot + doorbell when it fits, else a
+        queue dict carrying the raw bytes."""
+        emit_seq = self._next_emit()
+        rings = self._rings
+        if (
+            rings is not None
+            and len(payload) <= rings.responses.payload_capacity
+            and rings.responses.try_push(
+                op_item.op, op_item.ticket, values.shape, payload,
+                seq_no=sess.frames, emit_seq=emit_seq,
+            )
+        ):
+            if action == "corrupt":
+                # Published, then torn: the parent's seqlock check must
+                # refuse the slot and the supervisor replace this worker.
+                rings.responses.corrupt_last_published()
+            if rings.ring_kick(responses=True):
+                ring_doorbell(self._bell_fd)
+        else:
+            self._replies.put(("res", op_item.ticket, emit_seq, {
+                "ok": True, "type": op_name, "seq": sess.frames,
+                "raw": (payload, list(values.shape)),
+            }))
         self._settle_one()
 
     def _settle_one(self) -> None:
@@ -648,28 +643,67 @@ class _Consumer:
     """The worker's request loop: queue messages + request-ring drains."""
 
     def __init__(self, scheduler: _Scheduler, rings: RingPair | None,
-                 requests: Any, replies: Any, server: Any,
-                 faults: FaultInjector | None = None):
+                 requests: Any, replies: Any, server: Any, *,
+                 kick: Any = None, faults: FaultInjector | None = None):
         self._scheduler = scheduler
         self._rings = rings
         self._requests = requests
         self._replies = replies
         self._server = server
+        self._kick = kick  # request doorbell (read end); None: queue only
+        # The queue's own pipe, polled next to the doorbell so control
+        # messages wake the same blocking wait.
+        self._queue_reader = requests._reader
         self._faults = faults if faults else None
         self._payloads: deque[bytes] = deque()
         self._shutdown = False
 
     def run(self) -> None:
         while not self._shutdown:
-            self._handle(self._requests.get())
+            if self._kick is None:
+                self._handle(self._requests.get())
+                continue
+            ready = self._wait()
+            if self._kick in ready:
+                self._take_kick()
+            if self._queue_reader in ready and not self._shutdown:
+                try:
+                    # The drain may already have consumed this message
+                    # (an oversized entry's payload): never block here.
+                    message = self._requests.get(block=False)
+                except Empty:
+                    continue
+                self._handle(message)
+
+    def _wait(self) -> list:
+        """Block until the request doorbell or the request queue is readable.
+
+        One ``poll`` over both fds: the doorbell pipe carries the
+        per-frame hot-path kicks, the queue's reader connection the
+        cold-path control traffic.  No feeder or relay thread stands
+        between the parent's publish and this wake-up.
+        """
+        return wait_readable([self._kick, self._queue_reader])
+
+    def _take_kick(self) -> None:
+        """Take the doorbell bytes, clear the kick flag, drain the ring.
+
+        The order is the no-lost-wakeup protocol: a publish racing this
+        drain either finds the flag still set (its entry is drained
+        below) or re-arms it after the clear and rings again.
+        """
+        if not take_doorbell(self._kick.fileno()):
+            # EOF: the parent closed its end (it is replacing or leaving
+            # us).  Stop watching the fd rather than spin on it; control
+            # traffic — and the shutdown message — still arrive.
+            self._kick = None
+        self._rings.clear_kick(responses=False)
+        self._drain_ring()
 
     def _handle(self, message: tuple) -> None:
         kind = message[0]
         if kind == "shutdown":
             self._shutdown = True
-        elif kind == "kick":
-            self._rings.clear_kick(responses=False)
-            self._drain_ring()
         elif kind == "payload":
             self._payloads.append(message[1])
         elif kind == "req":
@@ -723,15 +757,10 @@ class _Consumer:
     def _await_payload(self) -> bytes | None:
         """The ring entry was published after its queue payload: take it.
 
-        Other message kinds may sit in between; they are handled inline
-        (a buffered kick is redundant — this loop IS the drain).
+        Other message kinds may sit in between; they are handled inline.
         """
         while not self._payloads:
-            message = self._requests.get()
-            if message[0] == "kick":
-                self._rings.clear_kick(responses=False)
-                continue
-            self._handle(message)
+            self._handle(self._requests.get())
             if self._shutdown:
                 return None
         return self._payloads.popleft()
@@ -750,8 +779,15 @@ def worker_main(
     inline: bool = True,
     session_cap: int | None = None,
     faults: list | None = None,
+    kick: Any = None,
+    bell: Any = None,
 ) -> None:
-    """Entry point of one worker process (spawn-safe, module-level)."""
+    """Entry point of one worker process (spawn-safe, module-level).
+
+    ``kick`` and ``bell`` are this generation's doorbell pipe ends (the
+    request doorbell's read end, the response doorbell's write end),
+    present exactly when ``shm_name`` is.
+    """
     # The parent owns interactive shutdown; a Ctrl-C must not produce a
     # worker traceback race while the parent is draining.
     try:
@@ -769,6 +805,8 @@ def worker_main(
 
         if shm_name is not None:
             rings = RingPair.attach(shm_name, ring_slots, slot_bytes)
+            os.set_blocking(kick.fileno(), False)
+            os.set_blocking(bell.fileno(), False)
         compiled = CompiledModel.load(artifact_path)
         server = Server(compiled, max_batch=max_batch, max_delay_s=max_delay_s)
     except BaseException as error:  # noqa: BLE001 — parent must learn of it
@@ -777,10 +815,10 @@ def worker_main(
 
     injector = FaultInjector(index, faults) if faults else None
     scheduler = _Scheduler(index, compiled, server, rings, replies,
-                           inline=inline, session_cap=session_cap,
-                           faults=injector)
+                           bell=bell, inline=inline,
+                           session_cap=session_cap, faults=injector)
     consumer = _Consumer(scheduler, rings, requests, replies, server,
-                         faults=injector)
+                         kick=kick, faults=injector)
     replies.put(("ready", index))
 
     try:

@@ -12,13 +12,18 @@ stalls, caps or evicts something, then pins the PR 8 contracts:
 * past the restart budget the shard degrades to non-retryable
   ``unavailable`` answers while the rest of the fleet keeps serving;
 * idle TTL, per-worker session caps with LRU shedding, and the
-  ``sessions`` / ``evict`` / ``health`` admin ops behave as documented.
+  ``sessions`` / ``evict`` / ``health`` admin ops behave as documented;
+* every worker generation's doorbell pipes are closed and unregistered
+  with it — no leaked fds, no spinning on a dead worker's pipe, and a
+  replaced generation's doorbell cannot drain its successor's ring.
 """
 
+import gc
 import os
 import signal
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -74,6 +79,33 @@ def _wait_for(predicate, timeout: float, what: str) -> None:
             return
         time.sleep(0.05)
     raise AssertionError(f"timed out waiting for {what}")
+
+
+def _open_fds() -> int:
+    gc.collect()  # dropped queues and processes close their fds on collection
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _on_loop(server, fn):
+    """Run ``fn`` on the server's event-loop thread; return its result."""
+    done: Future = Future()
+
+    def run() -> None:
+        try:
+            done.set_result(fn())
+        except BaseException as error:  # noqa: BLE001 - reraised below
+            done.set_exception(error)
+
+    server._loop.call_soon_threadsafe(run)
+    return done.result(timeout=TIMEOUT)
+
+
+def _wait_respawned(server, client, worker: int, generation: int) -> None:
+    def up() -> bool:
+        entry = client.health()["workers"][worker]
+        return entry["state"] == "up" and entry["generation"] == generation
+
+    _wait_for(up, 60, f"worker {worker} generation {generation}")
 
 
 class TestKnobs:
@@ -418,3 +450,89 @@ class TestChaosSoak:
             events = [event["event"] for event in server.events]
             assert "worker_down" in events
             assert "worker_restarted" in events
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs procfs")
+class TestDoorbells:
+    """The per-generation doorbell pipes' lifecycle in the parent."""
+
+    def test_fds_return_to_baseline(self, fixed_compiled):
+        """Three start/close cycles and two respawns leave no fd behind:
+        each generation's doorbells, queues and segment die with it."""
+        frame = _stream(1)[0]
+        with NetServer(fixed_compiled, workers=1):
+            pass  # the first server starts the resource tracker (one pipe)
+        baseline = _open_fds()
+        for _ in range(3):
+            with NetServer(fixed_compiled, workers=1) as server:
+                with Client(*server.address, timeout=TIMEOUT) as client:
+                    client.session("fd-cycle").push(frame)
+        assert _open_fds() == baseline
+
+        with NetServer(fixed_compiled, workers=2) as server:
+            running = _open_fds()
+            with Client(*server.address, timeout=TIMEOUT) as client:
+                for worker in (0, 1):
+                    name = _name_routed_to(worker, 2, "fd")
+                    client.session(name, reattach=False).push(frame)
+                    os.kill(server._procs[worker].pid, signal.SIGKILL)
+                    _wait_respawned(server, client, worker, 1)
+                    client.session(name, reattach=False).push(frame)
+            assert sum(server._restarts) == 2
+            _wait_for(lambda: _open_fds() == running, TIMEOUT,
+                      "the replaced generations' fds to close")
+        assert _open_fds() == baseline
+
+    def test_dead_worker_doorbell_is_not_spun_on(self, fixed_compiled):
+        """A SIGKILLed worker's response doorbell reads EOF forever; the
+        event loop must unregister it rather than spin.  The supervisor
+        tick is paused for the window, so only the doorbell's own EOF
+        handling can stop a spin."""
+        frame = _stream(1)[0]
+        with NetServer(fixed_compiled, workers=1) as server:
+            with Client(*server.address, timeout=TIMEOUT) as client:
+                client.session("spin", reattach=False).push(frame)
+                bells = server._doorbells[0]
+                server._supervise_tick = lambda: None
+                began = time.process_time()
+                os.kill(server._procs[0].pid, signal.SIGKILL)
+                time.sleep(1.0)
+                spent = time.process_time() - began
+                del server._supervise_tick  # supervision resumes
+                assert spent < 0.2, f"parent burned {spent:.2f}s CPU"
+                assert not bells.watched
+                _wait_respawned(server, client, 0, 1)
+                client.session("spin", reattach=False).push(frame)
+
+    def test_stale_generation_doorbell_drains_nothing(self, fixed_compiled):
+        """Ringing a replaced generation's response doorbell after a
+        respawn leaves the new generation's ring alone, and the reopened
+        session stays byte-identical to a standalone one."""
+        name = _name_routed_to(0, 1)
+        stream = _stream(12)
+        want = _standalone(fixed_compiled, stream)
+        with NetServer(fixed_compiled, workers=1) as server:
+            with Client(*server.address, timeout=TIMEOUT) as client:
+                client.session(name, reattach=False).push(stream[0])
+                stale = server._doorbells[0]
+                os.kill(server._procs[0].pid, signal.SIGKILL)
+                _wait_respawned(server, client, 0, 1)
+                assert stale.gen == 0
+
+                def ring_stale() -> tuple[bool, bool]:
+                    rings, bells = server._rings[0], server._doorbells[0]
+                    # Arm the new ring's kick as if results were pending
+                    # (the worker is idle, so nothing races this): a
+                    # drain would clear it.
+                    assert rings.ring_kick(responses=True)
+                    server._on_doorbell(0, stale)
+                    armed = not rings.ring_kick(responses=True)
+                    rings.clear_kick(responses=True)
+                    return armed, bells.watched
+
+                armed, watched = _on_loop(server, ring_stale)
+                assert armed, "a stale doorbell drained the new ring"
+                assert watched, "a stale doorbell unregistered the new one"
+                session = client.session(name, reattach=False)
+                got = np.stack([session.push(frame) for frame in stream])
+        assert got.tobytes() == want.tobytes()
