@@ -70,7 +70,8 @@ def bench_emulator_forward(quick: bool) -> BenchResult:
         quick=quick,
         notes=(
             f"{spec.describe()} over T={frames}, B={batch}; outputs of all "
-            "three paths asserted byte-identical before timing"
+            "three paths asserted byte-identical before timing.  Recorded "
+            f"on {environment_info()['cpus']} CPU(s)"
         ),
         metrics={
             "frames": frames,
@@ -178,7 +179,8 @@ def bench_spectral_matvec(quick: bool) -> BenchResult:
         quick=quick,
         notes=(
             f"one {out_features}x{in_features} block-{block} spectral "
-            "product at batch 8, all variants byte-identical"
+            "product at batch 8, all variants byte-identical.  Recorded on "
+            f"{environment_info()['cpus']} CPU(s)"
         ),
         metrics={"in": in_features, "out": out_features, "block": block},
     )
@@ -441,7 +443,8 @@ def bench_runtime_session(quick: bool) -> BenchResult:
         notes=(
             f"LSTM-{hidden} block 8 fixed backend; {sessions} streams x "
             f"{frames} frames; streaming/batched/served outputs asserted "
-            "byte-identical before timing"
+            "byte-identical before timing.  Recorded on "
+            f"{environment_info()['cpus']} CPU(s)"
         ),
         metrics={
             "hidden": hidden,

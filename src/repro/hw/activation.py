@@ -110,19 +110,17 @@ class PiecewiseLinearActivation:
         breakpoints = self.breakpoints
         if self._inv_step is not None:
             index = ((x - breakpoints[0]) * self._inv_step).astype(np.int64)
-            np.clip(index, 0, self.segments - 1, out=index)
         else:
-            index = np.clip(
-                np.searchsorted(breakpoints, x, side="right") - 1,
-                0,
-                self.segments - 1,
-            )
-        inside = (
-            self._slopes[index] * (x - breakpoints[index]) + self.values[index]
-        )
-        inside = np.where(x == breakpoints[-1], self.values[-1], inside)
-        result = np.where(x < breakpoints[0], self.saturate_low, inside)
-        return np.where(x > breakpoints[-1], self.saturate_high, result)
+            index = np.searchsorted(breakpoints, x, side="right") - 1
+        # mode="clip" clamps every index onto a segment, [0, segments - 1].
+        out = np.empty(x.shape, dtype=np.float64)
+        self._slopes.take(index, out=out, mode="clip")
+        out *= x - breakpoints[:-1].take(index, mode="clip")
+        out += self.values[:-1].take(index, mode="clip")
+        np.putmask(out, x == breakpoints[-1], self.values[-1])
+        np.putmask(out, x < breakpoints[0], self.saturate_low)
+        np.putmask(out, x > breakpoints[-1], self.saturate_high)
+        return out
 
     def max_error(
         self,

@@ -20,19 +20,21 @@ Two execution strategies share one numerical definition:
 
 * :meth:`CUEmulator.forward` (default) is **batched**: per layer, the
   input-to-hidden spectral products for all ``T`` frames are hoisted into
-  stacked FFT/quantize passes before the recurrent loop (the cuDNN
-  restructuring), and per-frame bookkeeping runs through the vectorized
-  format helpers of :mod:`repro.hw.fixed_point`.
+  one pass of the grouped kernel :meth:`SpectralWeights._matvec_groups`
+  before the recurrent loop (the cuDNN restructuring).
 * :meth:`CUEmulator.forward_reference` is the **per-frame oracle**: the
   straightforward frame-major loop calling :meth:`SpectralWeights.matvec`
   once per matrix per frame.
 
 Both paths produce *byte-identical* logits (test-enforced).  That works
-because every data-dependent fixed-point format is fit per frame in both
-paths, and because the spectral MAC — the one operation whose floating-point
-rounding could depend on operand shape — always executes at per-frame shape
-``(B, blocks, bins)`` through the same GEMM call, even inside the hoisted
-batch.
+because every data-dependent fixed-point format is fit over the same values
+in both paths (per frame), and because the spectral MAC — the one operation
+whose floating-point rounding could depend on operand shape — is exact:
+both operands sit on power-of-two grids of at most ``bits`` bits, so every
+product and partial sum is an integer multiple of one unit, well inside
+float64's 53-bit mantissa (:func:`_check_exact_mac`).  One GEMM per bin
+over a whole batch of frames or rows therefore returns the same bytes as
+the oracle's per-frame GEMM, whatever BLAS does with the shape.
 """
 
 from __future__ import annotations
@@ -50,9 +52,7 @@ from repro.errors import ConfigError
 from repro.hw.activation import PiecewiseLinearActivation, pwl_sigmoid, pwl_tanh
 from repro.hw.fixed_point import (
     FixedPointFormat,
-    fit_frac_bits_from_stats,
-    rowwise_fit_frac_bits,
-    rowwise_quantize,
+    quantize_groups,
 )
 from repro.nn.circulant_layer import CirculantLinear
 from repro.nn.rnn import StackedRNNClassifier
@@ -60,16 +60,37 @@ from repro.nn.rnn import StackedRNNClassifier
 __all__ = ["SpectralWeights", "CUEmulator"]
 
 
-def _complex_rowwise_frac_bits(spectra: np.ndarray, bits: int) -> np.ndarray:
-    """Per-row format over a complex array's real *and* imaginary parts.
+#: float64 represents every integer of magnitude up to 2**53 exactly.
+_EXACT_INT_BITS = 53
 
-    Matches ``FixedPointFormat.fit(concatenate([real, imag]), bits)`` row by
-    row: a complex128 array viewed as float64 interleaves exactly those
-    components.
+
+def _check_exact_mac(bits: int, q: int) -> None:
+    """Raise unless the spectral MAC over ``q`` input blocks is exact.
+
+    Both MAC operands sit on power-of-two grids: a value is ``k * 2**-f``
+    with one ``f`` per operand (one format per weight matrix, one per group
+    for the input spectrum) and an integer code ``|k| <= 2**(bits-1)``.
+    Every product, and every partial sum of a bin's ``q`` complex products,
+    is therefore an integer multiple of the one unit ``2**-(f_w + f_x)``.
+    The real or imaginary part of one product (``ac - bd``, ``ad + bc``)
+    has a code of at most ``2**(2*bits - 1)``, any partial sum of a bin at
+    most ``q * 2**(2*bits - 1)``.  While that stays within ``2**53`` no
+    step rounds, so the result is the same whatever the GEMM's shape,
+    blocking, summation order or FMA use: ``2*bits - 1 + ceil(log2 q) <=
+    53``.  The check keeps one more bit of margin, for a complex product
+    formed the 3M way, whose ``(a+b)(c+d)`` term has a code of up to
+    ``2**(2*bits)``: it requires ``2*bits + ceil(log2 q) <= 53``, e.g.
+    ``q <= 2**21`` at 16 bits and ``q <= 32`` at 24 bits.  (The unit must
+    also not fall below float64's smallest subnormal, ``2**-1074``: with
+    weight spectra of order one, only input spectra below about 1e-300 get
+    there.)
     """
-    return rowwise_fit_frac_bits(
-        spectra.view(np.float64).reshape(len(spectra), -1), bits
-    )
+    needed = 2 * bits + (q - 1).bit_length()
+    if needed > _EXACT_INT_BITS:
+        raise ConfigError(
+            f"{bits}-bit spectral MAC over {q} input blocks needs {needed} "
+            f"integer bits; float64 holds {_EXACT_INT_BITS} exactly"
+        )
 
 
 @dataclass(frozen=True)
@@ -80,6 +101,10 @@ class SpectralWeights:
     block_size: int
     out_features: int
     in_features: int
+    bits: int  # word width of the stored spectra
+
+    def __post_init__(self) -> None:
+        _check_exact_mac(self.bits, self.spectra.shape[1])
 
     @classmethod
     def from_layer(
@@ -95,6 +120,7 @@ class SpectralWeights:
             block_size=layer.block_size,
             out_features=layer.out_features,
             in_features=layer.in_features,
+            bits=bits,
         )
 
     @property
@@ -114,12 +140,11 @@ class SpectralWeights:
     def _spectral_mac(self, x_spec: np.ndarray) -> np.ndarray:
         """Frequency-domain multiply-accumulate over the block grid.
 
-        ``x_spec`` is one frame's ``(batch, q, bins)`` spectrum; returns
-        ``(batch, p, bins)``.  This is the decoupled-IFFT accumulation of
-        Sec. V-A1 expressed as ``bins`` stacked GEMMs.  Every caller —
-        per-frame or hoisted — passes single-frame shapes, so the BLAS
-        kernel (and therefore the floating-point reduction order) is
-        identical across execution strategies.
+        ``x_spec`` is a ``(rows, q, bins)`` spectrum; returns
+        ``(rows, p, bins)``.  This is the decoupled-IFFT accumulation of
+        Sec. V-A1 expressed as ``bins`` stacked GEMMs.  The MAC is exact
+        (:func:`_check_exact_mac`), so how many rows share one GEMM cannot
+        change its bytes.
         """
         return np.matmul(
             x_spec.transpose(2, 0, 1), self._mac_operand
@@ -168,101 +193,61 @@ class SpectralWeights:
         )
         return y_fmt.quantize(y).reshape(batch_shape + (self.out_features,))
 
-    def matvec_step(self, x: np.ndarray, bits: int) -> np.ndarray:
-        """One recurrent step, byte-identical to :meth:`matvec` but lean.
+    def _matvec_groups(self, x: np.ndarray, bits: int) -> np.ndarray:
+        """The PE pipeline over ``G`` groups of ``B`` rows at once.
 
-        Same pipeline, but the three data-dependent formats are derived
-        from range statistics (one min/max pass each) and applied with the
-        fused clip-rint-divide projection — no ``abs`` temporaries, no
-        ``concatenate`` copies, no int64 round-trips.
+        ``x`` is ``(G, B, in)``; group ``g`` of the result is byte-identical
+        to ``matvec(x[g], bits)``.  The three data-dependent formats (input,
+        input spectrum, output) are fit per group from min/max statistics;
+        each FFT/IFFT transforms its own vector; and the spectral MAC runs
+        as one GEMM per bin over all ``G * B`` rows, which is exact
+        (:func:`_check_exact_mac`) and so cannot differ from the oracle's
+        per-call GEMM.
         """
-        block = self.block_size
         self._check_width(x)
-        x = np.asarray(x, dtype=np.float64)
+        if bits > self.bits:
+            raise ConfigError(
+                f"{bits}-bit data exceeds the {self.bits}-bit weights the "
+                "MAC's exactness bound was checked for"
+            )
+        groups, batch = x.shape[0], x.shape[1]
+        p, q = self.spectra.shape[:2]
+        block = self.block_size
         if x.size == 0:
-            return self.matvec(x, bits)
-        batch_shape = x.shape[:-1]
-        x = x.reshape(-1, x.shape[-1])
-        if self.padded_in != x.shape[-1]:
-            x = np.pad(x, ((0, 0), (0, self.padded_in - x.shape[-1])))
-
-        min_int = -(2 ** (bits - 1))
-        max_int = 2 ** (bits - 1) - 1
-
-        x_frac = fit_frac_bits_from_stats(
-            max(float(x.max()), -float(x.min())), float(x.min()), bits
+            return np.zeros((groups, batch, self.out_features), dtype=np.float64)
+        padded = np.zeros((groups, batch, q * block), dtype=np.float64)
+        padded[..., : self.in_features] = x
+        quantize_groups(padded, bits)
+        x_spec = np.fft.rfft(
+            padded.reshape(groups * batch, q, block), axis=-1
         )
-        scale = 2.0**x_frac
-        x_blocks = (
-            np.clip(np.rint(x * scale), min_int, max_int) / scale
-        ).reshape(x.shape[0], -1, block)
+        quantize_groups(x_spec.view(np.float64).reshape(groups, -1), bits)
+        acc = np.matmul(
+            np.ascontiguousarray(x_spec.transpose(2, 0, 1)), self._mac_operand
+        )
+        y = np.fft.irfft(acc.transpose(1, 2, 0), n=block, axis=-1)
+        y = y.reshape(groups, batch, p * block)
+        if p * block != self.out_features:
+            y = np.ascontiguousarray(y[..., : self.out_features])
+        return quantize_groups(y, bits)
 
-        x_spec = np.fft.rfft(x_blocks, axis=-1)
-        parts = x_spec.view(np.float64)
-        s_frac = fit_frac_bits_from_stats(
-            max(float(parts.max()), -float(parts.min())), float(parts.min()), bits
-        )
-        scale = 2.0**s_frac
-        x_spec = (np.clip(np.rint(parts * scale), min_int, max_int) / scale).view(
-            np.complex128
-        )
-
-        acc = self._spectral_mac(x_spec)
-        y = np.fft.irfft(acc, n=block, axis=-1)
-        y = y.reshape(x.shape[0], -1)[:, : self.out_features]
-        y_frac = fit_frac_bits_from_stats(
-            max(float(y.max()), -float(y.min())), float(y.min()), bits
-        )
-        scale = 2.0**y_frac
-        y = np.clip(np.rint(y * scale), min_int, max_int) / scale
-        return y.reshape(batch_shape + (self.out_features,))
+    def matvec_step(self, x: np.ndarray, bits: int) -> np.ndarray:
+        """One recurrent step over ``(..., in)`` rows, one format set for
+        all of them: byte-identical to :meth:`matvec`, on the lean kernel."""
+        x = np.asarray(x, dtype=np.float64)
+        out = self._matvec_groups(x.reshape(1, -1, x.shape[-1]), bits)
+        return out.reshape(x.shape[:-1] + (self.out_features,))
 
     def matvec_frames(self, x: np.ndarray, bits: int) -> np.ndarray:
         """Hoisted product for a whole ``(T, B, in)`` sequence at once.
 
-        Byte-identical to calling :meth:`matvec` frame by frame: the input,
-        spectrum, and output formats are fit *per frame* (vectorized), the
-        FFT/IFFT batch over all frames (each trailing vector transforms
-        independently), and the spectral MAC runs per frame so the GEMM
-        shape matches the per-frame path exactly.
+        Byte-identical to calling :meth:`matvec` frame by frame: each frame
+        is one group of the kernel, so its formats are fit over that frame
+        alone.
         """
         if x.ndim != 3:
             raise ConfigError(f"expected (T, B, in) input, got {x.shape}")
-        self._check_width(x)
-        frames, batch = x.shape[0], x.shape[1]
-        block = self.block_size
-        x = np.asarray(x, dtype=np.float64)
-        if x.size == 0:
-            out = [self.matvec(x[t], bits) for t in range(frames)]
-            return (
-                np.stack(out)
-                if out
-                else np.empty((0, batch, self.out_features), dtype=np.float64)
-            )
-        if self.padded_in != x.shape[-1]:
-            x = np.pad(x, ((0, 0), (0, 0), (0, self.padded_in - x.shape[-1])))
-
-        x_frac = rowwise_fit_frac_bits(x, bits)
-        x_blocks = rowwise_quantize(x, x_frac, bits).reshape(
-            frames, batch, -1, block
-        )
-        x_spec = np.fft.rfft(x_blocks, axis=-1)
-
-        s_frac = _complex_rowwise_frac_bits(x_spec, bits)
-        parts = rowwise_quantize(x_spec.view(np.float64), s_frac, bits)
-        x_spec = np.ascontiguousarray(parts).view(np.complex128)
-
-        acc = np.empty(
-            (frames, batch, self.spectra.shape[0], x_spec.shape[-1]),
-            dtype=np.complex128,
-        )
-        for t in range(frames):
-            acc[t] = self._spectral_mac(x_spec[t])
-
-        y = np.fft.irfft(acc, n=block, axis=-1)
-        y = y.reshape(frames, batch, -1)[..., : self.out_features]
-        y_frac = rowwise_fit_frac_bits(y, bits)
-        return rowwise_quantize(y, y_frac, bits)
+        return self._matvec_groups(np.asarray(x, dtype=np.float64), bits)
 
 
 class CUEmulator:
@@ -325,21 +310,23 @@ class CUEmulator:
         """
         hidden = entry["hidden"]
         gates = wx + mv(entry["w_r"], y_prev) + entry["bias"]
-        z_i = gates[..., 0 * hidden : 1 * hidden]
-        z_f = gates[..., 1 * hidden : 2 * hidden]
         z_g = gates[..., 2 * hidden : 3 * hidden]
-        z_o = gates[..., 3 * hidden : 4 * hidden]
         if "peep" in entry:
             w_ic, w_fc, w_oc = entry["peep"]
-            z_i = z_i + w_ic * c_prev
-            z_f = z_f + w_fc * c_prev
-        gate_i = self.sigmoid(z_i)
-        gate_f = self.sigmoid(z_f)
+            gates[..., :hidden] += w_ic * c_prev
+            gates[..., hidden : 2 * hidden] += w_fc * c_prev
+            sig = self.sigmoid(gates[..., : 2 * hidden])
+        else:
+            # i, f and o in one call; the g slice's sigmoid goes unused.
+            sig = self.sigmoid(gates)
+        gate_i = sig[..., :hidden]
+        gate_f = sig[..., hidden : 2 * hidden]
         candidate = self.tanh(z_g)
         cell = gate_f * c_prev + candidate * gate_i
         if "peep" in entry:
-            z_o = z_o + w_oc * cell
-        gate_o = self.sigmoid(z_o)
+            gate_o = self.sigmoid(gates[..., 3 * hidden :] + w_oc * cell)
+        else:
+            gate_o = sig[..., 3 * hidden :]
         m = gate_o * self.tanh(cell)
         if "w_ym" in entry:
             y = mv(entry["w_ym"], m)
@@ -351,8 +338,8 @@ class CUEmulator:
         """Gate math for one frame given both input-side products."""
         hidden = entry["hidden"]
         gates = w_zr + mv(entry["w_zr_c"], c_prev) + entry["bias_zr"]
-        z = self.sigmoid(gates[..., :hidden])
-        r = self.sigmoid(gates[..., hidden:])
+        zr = self.sigmoid(gates)
+        z, r = zr[..., :hidden], zr[..., hidden:]
         candidate = self.tanh(
             w_cx + mv(entry["w_cc"], r * c_prev) + entry["bias_c"]
         )
@@ -474,9 +461,10 @@ class CUEmulator:
 
         Byte-identical to the corresponding frame of :meth:`forward` /
         :meth:`forward_reference`: every product goes through the lean
-        :meth:`SpectralWeights.matvec_step` (proven byte-identical to the
-        oracle ``matvec``), the point-wise stages are shared verbatim, and
-        the classifier GEMM runs at the same per-frame shape.
+        :meth:`SpectralWeights.matvec_step` (byte-identical to the oracle
+        ``matvec``), the point-wise stages are shared verbatim, and the
+        classifier GEMM — float weights, so *not* exact — runs at the same
+        per-frame shape.
         """
         frame = np.asarray(frame, dtype=np.float64)
         if frame.ndim != 2:
@@ -504,10 +492,10 @@ class CUEmulator:
         """Row-*isolated* spectral products: row ``r`` ≡ a batch-1 matvec.
 
         Feeding ``(R, D)`` rows to :meth:`SpectralWeights.matvec_frames` as
-        ``R`` frames of batch 1 fits every data-dependent format over one
-        row only and runs each spectral MAC at the ``(bins, 1, q)`` GEMM
-        shape — exactly the shapes a standalone batch-1 :meth:`step`
-        produces, so the bytes cannot differ.
+        ``R`` groups of batch 1 fits every data-dependent format over one
+        row only, as a standalone batch-1 :meth:`step` does.  The spectral
+        MAC then runs as one GEMM over all ``R`` rows; it is exact, so
+        sharing the GEMM cannot change a row's bytes.
         """
         return weights.matvec_frames(rows[:, None, :], self.bits)[:, 0]
 
@@ -521,13 +509,17 @@ class CUEmulator:
         ``r`` of the result is byte-identical to
         ``step(frames[r:r+1], row_states[r])`` — the row-isolation contract
         that lets :class:`repro.runtime.Server` coalesce concurrent session
-        pushes without perturbing any stream's bits.  FFTs, quantization
-        and the point-wise stages vectorize across rows (all element- or
-        row-independent); the shape-sensitive GEMMs run per row.
+        pushes without perturbing any stream's bits.  Everything but the
+        classifier vectorizes across rows: FFTs, quantization and the
+        point-wise stages are element- or row-independent, and the spectral
+        MAC is exact.  The classifier's float GEMM is not, so it runs per
+        row.
         """
         frames = np.asarray(frames, dtype=np.float64)
-        if frames.ndim != 2:
-            raise ConfigError(f"expected (R, D) rows, got {frames.shape}")
+        if frames.ndim != 2 or len(frames) != len(row_states):
+            raise ConfigError(
+                f"expected ({len(row_states)}, D) rows, got {frames.shape}"
+            )
         if len(frames) == 0:
             raise ConfigError("step_rows needs at least one row")
         rows = len(frames)
@@ -561,8 +553,8 @@ class CUEmulator:
                 )
                 for r in range(rows):
                     new_row_states[r][index] = c_new[r : r + 1].copy()
-        # Classifier per row: a (1, H) @ (H, C) GEMM matches the shape a
-        # standalone batch-1 step issues, keeping the reduction order pinned.
+        # Classifier per row: its float GEMM is inexact, so each row issues
+        # the (1, H) @ (H, C) shape a standalone batch-1 step does.
         logits = np.concatenate(
             [value[r : r + 1] @ self._classifier_w.T for r in range(rows)]
         )

@@ -22,8 +22,7 @@ __all__ = [
     "FixedPointFormat",
     "quantization_snr_db",
     "fit_frac_bits_from_stats",
-    "rowwise_fit_frac_bits",
-    "rowwise_quantize",
+    "quantize_groups",
 ]
 
 
@@ -143,51 +142,36 @@ def fit_frac_bits_from_stats(
     return frac_bits
 
 
-def rowwise_fit_frac_bits(values: np.ndarray, total_bits: int) -> np.ndarray:
-    """Vectorized per-row :meth:`FixedPointFormat.fit` over the leading axis.
+def quantize_groups(values: np.ndarray, total_bits: int) -> np.ndarray:
+    """Project each group ``values[g]`` onto its own fitted grid, in place.
 
-    ``values`` has shape ``(R, ...)``; returns an int64 ``(R,)`` array where
-    entry ``r`` equals ``FixedPointFormat.fit(values[r], total_bits).frac_bits``
-    bit-exactly (same initial estimate, same boundary guard).
+    Group ``g`` ends up equal to
+    ``FixedPointFormat.fit(values[g], total_bits).quantize(values[g])``: the
+    format comes from the group's min/max through
+    :func:`fit_frac_bits_from_stats`, and ``rint`` already yields integral
+    floats below 2**53, so clip-and-divide skips the int64 round trip of
+    :meth:`FixedPointFormat.to_int`/``from_int`` and lands on the same
+    values.  (A negative value that rounds to zero stays ``-0.0`` here; the
+    int64 round trip makes it ``+0.0``.)  ``values`` must be a writable
+    float64 array; it is returned.
     """
-    flat = np.asarray(values, dtype=np.float64).reshape(len(values), -1)
-    if flat.shape[1] == 0:
+    if values.size == 0:
         raise QuantizationError("cannot fit a format to an empty array")
-    vmax = flat.max(axis=1)
-    vmin = flat.min(axis=1)
-    peak = np.maximum(vmax, -vmin)
-    nonzero = peak > 0.0
-    frac = np.full(len(flat), total_bits - 1, dtype=np.int64)
-    if nonzero.any():
-        frac[nonzero] = np.floor(
-            total_bits - 1 - np.log2(peak[nonzero]) - 1e-12
-        ).astype(np.int64)
-    min_int = -(2 ** (total_bits - 1))
-    while True:
-        bad = nonzero & (np.rint(vmin * np.exp2(frac.astype(np.float64))) <= min_int)
-        if not bad.any():
-            return frac
-        frac = frac - bad.astype(np.int64)
-
-
-def rowwise_quantize(
-    values: np.ndarray, frac_bits: np.ndarray, total_bits: int
-) -> np.ndarray:
-    """Per-row grid projection matching ``FixedPointFormat.quantize``.
-
-    ``frac_bits[r]`` applies to ``values[r]``.  Skips the int64 round-trip of
-    :meth:`FixedPointFormat.to_int`/``from_int`` — ``rint`` already yields
-    integral floats below 2**53, so clip-and-divide lands on identical bytes.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    scale = np.exp2(frac_bits.astype(np.float64)).reshape(
-        (len(frac_bits),) + (1,) * (values.ndim - 1)
-    )
-    out = values * scale
-    np.rint(out, out=out)
-    np.clip(out, -(2 ** (total_bits - 1)), 2 ** (total_bits - 1) - 1, out=out)
-    out /= scale
-    return out
+    axes = tuple(range(1, values.ndim))
+    scale = np.array([
+        2.0 ** fit_frac_bits_from_stats(max(vmax, -vmin), vmin, total_bits)
+        for vmax, vmin in zip(
+            np.maximum.reduce(values, axis=axes).tolist(),
+            np.minimum.reduce(values, axis=axes).tolist(),
+        )
+    ], dtype=np.float64).reshape((-1,) + (1,) * len(axes))
+    values *= scale
+    np.rint(values, out=values)
+    # The fit's guard leaves every code of the group above min_int, so
+    # only positive overflow needs saturating.
+    np.minimum(values, 2.0 ** (total_bits - 1) - 1, out=values)
+    values /= scale
+    return values
 
 
 def quantization_snr_db(values: np.ndarray, fmt: FixedPointFormat) -> float:

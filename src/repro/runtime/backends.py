@@ -27,8 +27,10 @@ Every executor must satisfy three byte-level invariants, enforced by
    ``step(frames[r:r+1], states[r])``.  This is what lets the
    :class:`repro.runtime.Server` coalesce concurrent sessions without
    perturbing any stream.  The default implementation loops rows (always
-   conformant); ``fixed`` vectorizes while pinning every shape-sensitive
-   GEMM to its batch-1 shape.
+   conformant); ``fixed`` vectorizes: formats are fit per row, and the
+   spectral MAC is exact (integer multiples of one unit, well inside
+   float64's mantissa), so one GEMM over all rows cannot change a row's
+   bytes.  Only its float classifier GEMM, which is inexact, runs per row.
 3. **Batch semantics are part of the result.**  Fixed-point formats are
    fit per frame *across* the batch (hardware semantics, Sec. V-A1), so a
    ``(T, B)`` batched run is not the concatenation of ``B`` independent

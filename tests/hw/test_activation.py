@@ -97,6 +97,80 @@ class TestInterpContract:
             assert np.all(gap <= np.spacing(np.abs(want)) + np.spacing(1.0))
 
 
+def _frozen_pwl(pwl, x):
+    """The three-``np.where`` evaluation ``__call__`` used before it moved
+    to ``take``/in-place arithmetic/``putmask``, kept verbatim."""
+    x = np.asarray(x, dtype=np.float64)
+    breakpoints = pwl.breakpoints
+    if pwl._inv_step is not None:
+        index = ((x - breakpoints[0]) * pwl._inv_step).astype(np.int64)
+        np.clip(index, 0, pwl.segments - 1, out=index)
+    else:
+        index = np.clip(
+            np.searchsorted(breakpoints, x, side="right") - 1,
+            0,
+            pwl.segments - 1,
+        )
+    inside = pwl._slopes[index] * (x - breakpoints[index]) + pwl.values[index]
+    inside = np.where(x == breakpoints[-1], pwl.values[-1], inside)
+    result = np.where(x < breakpoints[0], pwl.saturate_low, inside)
+    return np.where(x > breakpoints[-1], pwl.saturate_high, result)
+
+
+def _non_uniform():
+    # The last segment's slope * width + start value does not round to
+    # tanh(2.3), so only the exact-endpoint override returns values[-1].
+    breakpoints = np.array([-6.0, -2.5, -1.0, -0.25, 0.0, 0.5, 0.6, 2.3])
+    return PiecewiseLinearActivation(
+        "tanh-irregular", breakpoints, np.tanh(breakpoints), -1.0, 1.0
+    )
+
+
+class TestFrozenBytes:
+    """``__call__`` returns the bytes of the frozen formula on every input."""
+
+    PWLS = {
+        "sigmoid": lambda: pwl_sigmoid(16),
+        "tanh": lambda: pwl_tanh(16),
+        "tanh-64": lambda: pwl_tanh(64),
+        "non-uniform": _non_uniform,
+    }
+
+    @staticmethod
+    def _assert_same_bytes(pwl, x):
+        with np.errstate(invalid="ignore"):  # NaN/inf -> int64 index
+            got, want = pwl(x), _frozen_pwl(pwl, x)
+        assert got.shape == want.shape
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(PWLS))
+    def test_breakpoints_and_ulp_neighbours(self, name):
+        pwl = self.PWLS[name]()
+        points = pwl.breakpoints
+        x = np.concatenate([
+            points,
+            np.nextafter(points, -np.inf),
+            np.nextafter(points, np.inf),
+        ])
+        self._assert_same_bytes(pwl, x)
+
+    def test_non_uniform_table_takes_the_search_branch(self):
+        assert _non_uniform()._inv_step is None
+        assert pwl_sigmoid(16)._inv_step is not None
+
+    @pytest.mark.parametrize("name", sorted(PWLS))
+    def test_special_values(self, name):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300])
+        self._assert_same_bytes(self.PWLS[name](), x)
+
+    @pytest.mark.parametrize("name", sorted(PWLS))
+    def test_random_draws(self, name):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((100, 100)) * 6.0
+        self._assert_same_bytes(self.PWLS[name](), x)
+
+
 class TestResources:
     def test_no_dsp_no_bram(self):
         resources = pwl_sigmoid(16).resources()

@@ -9,8 +9,11 @@ one.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import RNNSpec
+from repro.errors import ConfigError
 from repro.hw.emulator import CUEmulator, SpectralWeights
 from repro.nn.circulant_layer import CirculantLinear
 from repro.nn.rnn import StackedRNNClassifier
@@ -75,27 +78,38 @@ class TestSpectralWeightsVariants:
     """matvec_step and matvec_frames against the oracle matvec."""
 
     @pytest.mark.parametrize(
-        "in_features,out_features,block,bits,batch",
+        "in_features,out_features,block,bits,frames,batch",
         [
-            (153, 128, 8, 12, 8),   # padded input width
-            (16, 16, 4, 12, 1),     # B=1 (the GEMM's degenerate shape)
-            (32, 64, 8, 6, 3),      # coarse quantization
-            (24, 24, 8, 16, 8),     # wide words
+            (153, 128, 8, 12, 7, 8),  # padded input width
+            (16, 16, 4, 12, 7, 1),    # B=1 (the GEMM's degenerate shape)
+            (32, 64, 8, 6, 7, 3),     # coarse quantization
+            (24, 24, 8, 16, 7, 8),    # wide words
+            (40, 64, 8, 12, 5, 1),    # (G, B) = (5, 1), as step_rows feeds it
         ],
     )
     def test_all_variants_byte_identical(
-        self, rng, in_features, out_features, block, bits, batch
+        self, rng, in_features, out_features, block, bits, frames, batch
     ):
         layer = CirculantLinear(
             in_features, out_features, block_size=block, bias=False, rng=rng
         )
         weights = SpectralWeights.from_layer(layer, bits)
-        x = rng.standard_normal((7, batch, in_features)) * 3
-        per_frame = np.stack([weights.matvec(x[t], bits) for t in range(7)])
-        stepped = np.stack([weights.matvec_step(x[t], bits) for t in range(7)])
+        x = rng.standard_normal((frames, batch, in_features)) * 3
+        per_frame = np.stack(
+            [weights.matvec(x[t], bits) for t in range(frames)]
+        )
+        stepped = np.stack(
+            [weights.matvec_step(x[t], bits) for t in range(frames)]
+        )
         hoisted = weights.matvec_frames(x, bits)
         assert np.array_equal(per_frame, stepped)
         assert np.array_equal(per_frame, hoisted)
+
+    def test_rejects_data_wider_than_weights(self, rng):
+        layer = CirculantLinear(8, 8, block_size=4, bias=False, rng=rng)
+        weights = SpectralWeights.from_layer(layer, 12)
+        with pytest.raises(ConfigError):
+            weights.matvec_step(np.ones((1, 8)), 13)
 
     def test_matvec_frames_rejects_2d(self, rng):
         layer = CirculantLinear(8, 8, block_size=4, bias=False, rng=rng)
@@ -117,6 +131,73 @@ class TestSpectralWeightsVariants:
         ):
             with pytest.raises(ConfigError):
                 call()
+
+
+def _max_exact_bits(q: int) -> int:
+    """The widest word at which a MAC over ``q`` blocks is still exact."""
+    return (53 - (q - 1).bit_length()) // 2
+
+
+@st.composite
+def _mac_cases(draw):
+    q = draw(st.integers(1, 40))
+    edge = _max_exact_bits(q)
+    bits = draw(st.one_of(st.just(edge), st.integers(2, edge)))
+    block = draw(st.sampled_from([2, 4, 8]))
+    in_features = q * block - draw(st.integers(0, block - 1))
+    groups = draw(st.integers(0, 4))
+    batch = draw(st.integers(0, 3))
+    kinds = draw(st.lists(
+        st.sampled_from(["normal", "zero", "constant"]),
+        min_size=groups, max_size=groups,
+    ))
+    exponents = draw(st.lists(
+        st.integers(-150, 3), min_size=groups, max_size=groups
+    ))
+    return q, bits, block, in_features, groups, batch, kinds, exponents, draw(
+        st.integers(0, 2**31)
+    )
+
+
+class TestExactMac:
+    """The spectral MAC is exact below the bound, so GEMM shape is free."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_mac_cases())
+    def test_groups_equal_each_group_alone_equal_matvec(self, case):
+        q, bits, block, in_features, groups, batch, kinds, exponents, seed = (
+            case
+        )
+        rng = np.random.default_rng(seed)
+        layer = CirculantLinear(
+            in_features, 3 * block - 1, block_size=block, bias=False, rng=rng
+        )
+        weights = SpectralWeights.from_layer(layer, bits)
+        assert weights.spectra.shape[1] == q
+        x = rng.standard_normal((groups, batch, in_features))
+        for g, (kind, exponent) in enumerate(zip(kinds, exponents)):
+            if kind == "zero":
+                x[g] = 0.0
+            elif kind == "constant":
+                x[g] = -(10.0**exponent)
+            else:
+                x[g] *= 10.0**exponent
+        grouped = weights._matvec_groups(x, bits)
+        assert grouped.shape == (groups, batch, 3 * block - 1)
+        for g in range(groups):
+            alone = weights._matvec_groups(x[g : g + 1], bits)[0]
+            assert np.array_equal(grouped[g], alone)
+            if batch:  # the oracle cannot reshape an empty batch
+                assert np.array_equal(alone, weights.matvec(x[g], bits))
+
+    @settings(max_examples=30, deadline=None)
+    @given(q=st.integers(1, 64), block=st.sampled_from([2, 4]))
+    def test_one_bit_past_the_bound_raises(self, q, block):
+        layer = CirculantLinear(q * block, block, block_size=block,
+                                bias=False, rng=np.random.default_rng(q))
+        SpectralWeights.from_layer(layer, _max_exact_bits(q))
+        with pytest.raises(ConfigError, match="exactly"):
+            SpectralWeights.from_layer(layer, _max_exact_bits(q) + 1)
 
 
 class TestSeedBaselineAgreement:

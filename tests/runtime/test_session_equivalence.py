@@ -135,6 +135,17 @@ class TestSessionState:
         with pytest.raises(ConfigError):
             compiled.session(batch_size=0)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("name", ["lstm-peep-proj", "gru"])
+    def test_step_rows_rejects_state_count_mismatch(self, name, backend):
+        """One row with three states is an error, not a broadcast."""
+        executor = _compiled(name, backend).executor()
+        states = [executor.initial_state(1)] * 3
+        with pytest.raises(ConfigError, match=r"expected \(3, D\) rows"):
+            executor.step_rows(np.ones((1, 20)), states)
+        with pytest.raises(ConfigError, match=r"expected \(1, D\) rows"):
+            executor.step_rows(np.ones((3, 20)), states[:1])
+
 
 class TestConformanceChecker:
     @pytest.mark.parametrize("backend", BACKENDS)
