@@ -532,13 +532,13 @@ def bench_netserver(quick: bool) -> BenchResult:
     measure scheduler contention, not scaling, so the suite emits
     ``null`` plus a ``scaling_note`` instead.
 
-    The wire-framing comparison (PR 7) pits the two stacks' hot paths
-    against each other on one worker.  The v1 baseline reproduces the
-    stack as it shipped: JSON/base64 framing, pickled-pipe transport,
-    dispatcher-only scheduling (``inline_rows=False``) and — crucially —
-    one push per round trip, because v1 had no batched wire op.  The v2
-    side runs its negotiated hot path: binary framing, shared-memory
-    rings, inline single-session rows, and ``push_many`` batching.
+    The wire-framing comparison pits the two framings' hot paths
+    against each other on one worker, over the one parent↔worker path
+    (shared-memory rings, inline single-session rows).  The v1 side is
+    a ``max_protocol=1`` server with JSON/base64 framing, timed one push
+    per round trip (its JSON ``push_many`` is recorded alongside).  The
+    v2 side runs its negotiated hot path: binary framing and
+    ``push_many`` batching.
     ``p50_push_speedup_v2_vs_v1`` is the headline: per-frame p50 of the
     v2 hot path vs the v1 per-push p50 over the same stream.  The
     apples-to-apples single-push ratio is recorded alongside as
@@ -555,8 +555,11 @@ def bench_netserver(quick: bool) -> BenchResult:
     from repro.runtime import compile as compile_model
     from repro.runtime.net import Client, NetServer
 
+    # Quick runs keep every worker count (and so every metric key) of a
+    # full run: `bench --compare` checks a quick CI artifact
+    # structurally against the committed full one.
     if quick:
-        hidden, clients, frames, worker_counts = 64, 4, 12, (1, 2)
+        hidden, clients, frames, worker_counts = 64, 4, 12, (1, 2, 4)
     else:
         hidden, clients, frames, worker_counts = 64, 8, 50, (1, 2, 4)
     spec = RNNSpec(
@@ -670,13 +673,12 @@ def bench_netserver(quick: bool) -> BenchResult:
         result.metrics["scaling_note"] = note
 
     # ------------------------------------------------------------------
-    # Wire-framing comparison (PR 7): the same single-client stream over
-    # (a) the v1 stack as it shipped — JSON framing + pickled-pipe
-    # transport + dispatcher-only scheduling, per-push wire — and (b)
-    # the v2 stack — binary framing + shared-memory rings + inline rows
-    # + batched push_many.  One worker, one connection: this isolates
-    # wire + IPC + scheduling overhead, which is exactly what v2 set out
-    # to cut.  Byte gates run before every timed pass here too.
+    # Wire-framing comparison: the same single-client stream over (a) a
+    # v1-only server — JSON framing, per-push wire — and (b) the v2 hot
+    # path — binary framing + batched push_many.  One worker, one
+    # connection, the same shared-memory rings and inline rows behind
+    # both: this isolates the framing and the wire batching.  Byte gates
+    # run before every timed pass here too.
     # ------------------------------------------------------------------
     def wire_pass(server: NetServer, protocol: int) -> tuple[list[float], float]:
         tag = f"wire-{next(passes)}"
@@ -702,10 +704,7 @@ def bench_netserver(quick: bool) -> BenchResult:
     wire_repeats = 2 if quick else 3
     wire_p50: dict[str, float] = {}
     for label, server_kwargs, protocol in (
-        # The v1 stack as PR 6 shipped it: JSON framing, pickled pipes,
-        # every row through the micro-batch dispatcher, no wire batching.
-        ("v1_json_pipe",
-         {"transport": "pipe", "max_protocol": 1, "inline_rows": False}, 1),
+        ("v1_json", {"max_protocol": 1}, 1),
         ("v2_bin_shm", {}, 2),
     ):
         with NetServer(
@@ -722,30 +721,28 @@ def bench_netserver(quick: bool) -> BenchResult:
         result.metrics[f"{label}_push_many_us_per_frame"] = round(
             float(np.median(many_times)) / frames * 1e6, 1
         )
-    # Headline: the v2 hot path (batched binary push_many — v1 had no
-    # batched op, so its hot path IS the per-push round trip) against
-    # the v1 per-push p50, both in per-frame terms over the same stream.
+    # Headline: the v2 hot path (batched binary push_many) against the
+    # v1 per-push p50, both in per-frame terms over the same stream.
     result.metrics["p50_push_speedup_v2_vs_v1"] = round(
-        result.metrics["v1_json_pipe_p50_us"]
+        result.metrics["v1_json_p50_us"]
         / result.metrics["v2_bin_shm_push_many_us_per_frame"], 2
     )
     # Same-shape comparison (one blocking push per round trip, both
     # framings): compute- and wakeup-bound on few-core boxes, recorded
     # so the headline's batching contribution is never hidden.
     result.metrics["p50_single_push_speedup_v2_vs_v1"] = round(
-        wire_p50["v1_json_pipe"] / wire_p50["v2_bin_shm"], 2
+        wire_p50["v1_json"] / wire_p50["v2_bin_shm"], 2
     )
     result.metrics["push_many_speedup_vs_push_v2"] = round(
         result.metrics["v2_bin_shm_p50_us"]
         / result.metrics["v2_bin_shm_push_many_us_per_frame"], 2
     )
     result.metrics["wire_note"] = (
-        "v1_json_pipe reproduces the stack v1 shipped (JSON/base64 "
-        "framing, pickled-pipe transport, dispatcher-only scheduling, "
-        "no batched wire op); v2_bin_shm is the negotiated v2 hot path "
-        "(binary frames, shared-memory rings, inline rows, push_many). "
-        "p50_push_speedup_v2_vs_v1 compares per-frame p50 of each "
-        "stack's hot path on the same stream"
+        "v1_json is a max_protocol=1 server (JSON/base64 framing, no "
+        "batched binary op); v2_bin_shm is the negotiated v2 hot path "
+        "(binary frames, push_many). Both run the same shared-memory "
+        "rings and inline rows. p50_push_speedup_v2_vs_v1 compares "
+        "per-frame p50 of each framing's hot path on the same stream"
     )
 
     # ------------------------------------------------------------------
@@ -1100,8 +1097,8 @@ def bench_rnnlm_generate(quick: bool) -> BenchResult:
     )
     from repro.runtime import Session, compile as compile_model
 
-    if quick:
-        batches, steps, epochs, repeats = (1, 4), 24, 1, 2
+    if quick:  # every batch width, so the metric keys match a full run
+        batches, steps, epochs, repeats = (1, 4, 16), 24, 1, 2
     else:
         batches, steps, epochs, repeats = (1, 4, 16), 96, 3, 3
 

@@ -473,7 +473,6 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         max_delay_s=args.delay_ms / 1e3,
         queue_limit=args.queue_limit,
-        transport=args.transport,
         max_protocol=args.wire,
         spawn_timeout_s=args.spawn_timeout,
         restart_budget=args.restart_budget,
@@ -488,7 +487,7 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
     print(
         f"serving on {host}:{port} with {args.workers} worker process(es) "
         f"(max_batch {args.max_batch}, queue_limit {args.queue_limit}, "
-        f"transport {server.transport}, wire <= v{server.max_protocol})"
+        f"wire <= v{server.max_protocol})"
     )
     if faults:
         print(f"fault injection armed: {', '.join(faults)}")
@@ -523,8 +522,7 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
             print(
                 f"lm selftest: {args.sessions} generation sessions "
                 f"(generate → score → generate) byte-identical over the "
-                f"wire in {elapsed * 1e3:.1f} ms (wire v{args.wire}, "
-                f"transport {server.transport})"
+                f"wire in {elapsed * 1e3:.1f} ms (wire v{args.wire})"
             )
             if args.chaos:
                 with Client(host, port) as client:
@@ -608,8 +606,7 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
         print(
             f"served {total} frames to {args.sessions} net clients across "
             f"{args.workers} workers in {elapsed * 1e3:.1f} ms "
-            f"({total / elapsed:,.0f} frames/s; wire v{args.wire}, "
-            f"transport {server.transport})"
+            f"({total / elapsed:,.0f} frames/s; wire v{args.wire})"
         )
         with Client(host, port) as client:
             for entry in client.stats():
@@ -1292,11 +1289,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-limit", type=int, default=32,
         help="per-connection in-flight bound before busy replies "
              "(default: 32)",
-    )
-    serve.add_argument(
-        "--transport", choices=("shm", "pipe"), default="shm",
-        help="parent<->worker payload path for network serving: shared-"
-             "memory rings (default) or pickled pipes",
     )
     serve.add_argument(
         "--wire", type=int, choices=(1, 2), default=2,

@@ -12,10 +12,9 @@ reconnects.  A matching blocking stdlib client (:class:`Client` /
 
 Since PR 7 the hot payload path can negotiate **protocol v2** per
 connection: ``push``/``push_many`` payloads travel as length-prefixed
-binary frames instead of base64 JSON, and parent↔worker payloads ride
-per-worker shared-memory slot rings instead of pickled pipes
-(``transport="shm"``).  Control traffic — and every v1 client — stays
-NDJSON, byte-for-byte unchanged.
+binary frames instead of base64 JSON.  Parent↔worker payloads of every
+connection ride per-worker shared-memory slot rings; control traffic —
+and every v1 client — stays NDJSON, byte-for-byte unchanged.
 
 The invariant carries through from the in-process layers: logits served
 over the wire are **byte-identical** to a standalone

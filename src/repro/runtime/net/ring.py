@@ -30,9 +30,8 @@ the flag 0→1; the consumer takes the pending bytes, then clears the flag
 byte, not N — and the publish-then-check / clear-then-drain order makes
 a lost wakeup impossible.
 
-Payloads larger than a slot (or any traffic when the box has no usable
-shared memory — ``transport="pipe"``) fall back to the queues; an
-oversized request still occupies a ring slot (flagged ``external``) so
+Payloads larger than a slot fall back to the queues; an oversized
+request still occupies a ring slot (flagged ``external``) so
 per-session FIFO order is preserved across both paths.
 
 Lifecycle: the parent creates and later unlinks the segment; workers

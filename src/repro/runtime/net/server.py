@@ -15,10 +15,11 @@ traffic and for v1 clients, and the length-prefixed binary v2 frames for
 ``push``/``push_many`` payloads once a client negotiates ``protocol: 2``
 in its ``open`` handshake.  Payloads cross the process boundary through
 a per-worker ``multiprocessing.shared_memory`` ring
-(:mod:`repro.runtime.net.ring`) instead of pickled pipes — wake-ups are
-coalesced one-byte doorbell pipes the event loop watches directly, slots
-seqlock-checked — with ``transport="pipe"`` retained as the fallback
-(and as the bench baseline).
+(:mod:`repro.runtime.net.ring`) — wake-ups are coalesced one-byte
+doorbell pipes the event loop watches directly, slots seqlock-checked.
+Every worker has its ring pair: a segment that cannot be created is a
+spawn failure, not a switch to a slower protocol.  The pickled queues
+carry control traffic and payloads larger than a slot.
 
 Flow control is explicit: each connection may have at most
 ``queue_limit`` requests in flight; one more gets an immediate ``busy``
@@ -251,24 +252,23 @@ class _Spawn:
     __slots__ = ("index", "gen", "proc", "requests", "replies", "rings",
                  "bells")
 
-    def __init__(self, index: int, gen: int):
+    def __init__(self, index: int, gen: int, rings: RingPair,
+                 bells: _Doorbells):
         self.index = index
         self.gen = gen
         self.proc: Any = None
         self.requests: Any = None
         self.replies: Any = None
-        self.rings: RingPair | None = None
-        self.bells: _Doorbells | None = None
+        self.rings = rings
+        self.bells = bells
 
     def discard(self) -> None:
         """Tear down a generation that was never installed."""
         if self.proc is not None and self.proc.is_alive():
             self.proc.terminate()
-        if self.rings is not None:
-            self.rings.close()
-            self.rings.unlink()
-        if self.bells is not None:
-            self.bells.close()
+        self.rings.close()
+        self.rings.unlink()
+        self.bells.close()
 
 
 class _Conn:
@@ -292,14 +292,11 @@ class NetServer:
     :attr:`address` after :meth:`start`.  ``queue_limit`` bounds each
     connection's in-flight requests (the ``busy`` threshold).
 
-    ``transport`` selects the parent↔worker payload path: ``"shm"``
-    (default) uses the shared-memory rings, ``"pipe"`` the pickled
-    queues; when shared memory cannot be created the server falls back
-    to ``"pipe"`` with a warning.  ``max_protocol=1`` disables v2
+    Each worker gets a shared-memory ring pair of ``ring_slots`` slots
+    of ``slot_bytes`` each; larger payloads ride the request/reply
+    queues.  When shared memory cannot be created, :meth:`start` raises
+    :class:`~repro.errors.ConfigError`.  ``max_protocol=1`` disables v2
     negotiation entirely (a v1-only server, for compatibility testing).
-    ``inline_rows=False`` makes workers route every row through their
-    micro-batch dispatcher even when only one session is busy — the
-    seed scheduling behaviour, kept for the bench baseline.
 
     Supervision (PR 8): the parent watches every worker (process
     sentinel + heartbeat probes answered on the reply queue).  A worker
@@ -333,11 +330,9 @@ class NetServer:
         max_delay_s: float = 0.002,
         queue_limit: int = 32,
         drain_timeout_s: float = 10.0,
-        transport: str = "shm",
         max_protocol: int = MAX_PROTOCOL,
         ring_slots: int = 128,
         slot_bytes: int = 32768,
-        inline_rows: bool = True,
         spawn_timeout_s: float = 120.0,
         restart_budget: int = 3,
         restart_window_s: float = 60.0,
@@ -353,10 +348,6 @@ class NetServer:
             raise ConfigError(f"workers must be positive, got {workers}")
         if queue_limit < 1:
             raise ConfigError(f"queue_limit must be positive, got {queue_limit}")
-        if transport not in ("shm", "pipe"):
-            raise ConfigError(
-                f"transport must be 'shm' or 'pipe', got {transport!r}"
-            )
         if not PROTOCOL_VERSION <= max_protocol <= MAX_PROTOCOL:
             raise ConfigError(
                 f"max_protocol must be {PROTOCOL_VERSION}.."
@@ -404,11 +395,9 @@ class NetServer:
         self.max_delay_s = max_delay_s
         self.queue_limit = queue_limit
         self.drain_timeout_s = drain_timeout_s
-        self.transport = transport
         self.max_protocol = max_protocol
         self.ring_slots = ring_slots
         self.slot_bytes = slot_bytes
-        self.inline_rows = inline_rows
         self.spawn_timeout_s = spawn_timeout_s
         self.restart_budget = restart_budget
         self.restart_window_s = restart_window_s
@@ -446,8 +435,8 @@ class NetServer:
         # hang every *surviving* worker's replies.  Isolated queues bound
         # the blast radius to the dead worker's own (already lost) replies.
         self._reply_queues: list[Any] = []
-        # Ring and doorbell slots hold None for a generation on the
-        # pipe path (transport="pipe", or a respawn without shm).
+        # A worker in state "up" has its ring pair and doorbells; the
+        # slots of a down, restarting or degraded worker hold None.
         self._rings: list[RingPair | None] = []
         self._doorbells: list[_Doorbells | None] = []
         # (worker index, generation, thread) — the generation lets
@@ -595,22 +584,22 @@ class NetServer:
         """
         self._stop_serving.set()  # release any serve_forever() caller
         with self._lifecycle:
-            if self._state != "started":
-                self._state = "closed"
-                return
+            if self._state == "started":
+                self._closing = True  # restart threads abort their respawns
+                loop, stop = self._loop, self._stop_async
+                if loop is not None and stop is not None:
+                    try:
+                        loop.call_soon_threadsafe(stop.set)
+                    except RuntimeError:
+                        pass  # loop already dead
+                if self._loop_thread is not None:
+                    self._loop_thread.join(timeout=self.drain_timeout_s + 30)
+                for thread in self._restart_threads:
+                    thread.join(timeout=15)
+                self._shutdown_workers()
+            # A start() that failed after saving the artifact leaves its
+            # temporary directory behind; it goes here either way.
             self._state = "closed"
-            self._closing = True  # restart threads abort their respawns
-            loop, stop = self._loop, self._stop_async
-            if loop is not None and stop is not None:
-                try:
-                    loop.call_soon_threadsafe(stop.set)
-                except RuntimeError:
-                    pass  # loop already dead
-            if self._loop_thread is not None:
-                self._loop_thread.join(timeout=self.drain_timeout_s + 30)
-            for thread in self._restart_threads:
-                thread.join(timeout=15)
-            self._shutdown_workers()
             if self._tmpdir is not None:
                 self._tmpdir.cleanup()
                 self._tmpdir = None
@@ -670,10 +659,6 @@ class NetServer:
             for index in range(count):
                 spawns.append(self._spawn_worker(index, 0))
                 self._place(spawns[-1])
-            if self.transport == "shm" and not any(self._rings):
-                self.transport = "pipe"
-                print("repro.net: falling back to transport='pipe'",
-                      file=sys.stderr)
             deadline = time.monotonic() + self.spawn_timeout_s
             for spawn in spawns:
                 self._await_ready(spawn, deadline)
@@ -695,7 +680,16 @@ class NetServer:
         # "spawn" everywhere: the parent runs an event loop plus threads,
         # which fork() would duplicate into undefined territory.
         ctx = mp.get_context("spawn")
-        spawn = _Spawn(index, gen)
+        try:
+            rings = RingPair.create(self.ring_slots, self.slot_bytes)
+        except (OSError, ValueError, RingError) as error:
+            raise ConfigError(
+                f"worker {index}: shared memory is unavailable for its "
+                f"ring pair ({error})"
+            ) from None
+        kick_rx, kick_tx = ctx.Pipe(duplex=False)
+        bell_rx, bell_tx = ctx.Pipe(duplex=False)
+        spawn = _Spawn(index, gen, rings, _Doorbells(gen, kick_tx, bell_rx))
         spawn.requests, spawn.replies = ctx.Queue(), ctx.Queue()
         for queue in (spawn.requests, spawn.replies):
             # Never let interpreter exit join our feeder threads: a
@@ -706,30 +700,14 @@ class NetServer:
             # confirmed out-of-band (worker joins / ready handshakes), so
             # dropping unflushed bytes at exit is safe.
             queue.cancel_join_thread()
-        if self.transport == "shm":
-            try:
-                spawn.rings = RingPair.create(self.ring_slots, self.slot_bytes)
-            except (OSError, ValueError, RingError) as error:
-                print(
-                    f"repro.net: worker {index}: shared memory unavailable "
-                    f"({error}); using the pipe path",
-                    file=sys.stderr,
-                )
-        child_ends: tuple = (None, None)
-        if spawn.rings is not None:
-            kick_rx, kick_tx = ctx.Pipe(duplex=False)
-            bell_rx, bell_tx = ctx.Pipe(duplex=False)
-            spawn.bells = _Doorbells(gen, kick_tx, bell_rx)
-            child_ends = (kick_rx, bell_tx)
         spawn.proc = ctx.Process(
             target=worker_main,
             args=(
                 index, str(self._artifact_path), spawn.requests,
                 spawn.replies, self.max_batch, self.max_delay_s,
-                spawn.rings.name if spawn.rings is not None else None,
-                self.ring_slots, self.slot_bytes, self.inline_rows,
+                rings.name, self.ring_slots, self.slot_bytes,
                 self.session_cap, (self.faults or None) if gen == 0 else None,
-                *child_ends,
+                kick_rx, bell_tx,
             ),
             name=f"repro-net-worker-{index}" + (f"g{gen}" if gen else ""),
             daemon=True,
@@ -743,9 +721,8 @@ class NetServer:
             # The child holds its own copies now.  Closing the parent's
             # is what lets the response doorbell reach EOF when the
             # worker dies.
-            for end in child_ends:
-                if end is not None:
-                    end.close()
+            kick_rx.close()
+            bell_tx.close()
         return spawn
 
     def _await_ready(self, spawn: _Spawn, deadline: float) -> None:
@@ -842,7 +819,8 @@ class NetServer:
                 pump.join(timeout=10)
         for rings in self._rings:
             # Workers have exited (or been terminated): the parent owns
-            # the segment's end of life.  Pipe-path slots hold None.
+            # the segment's end of life.  Slots of a worker that is down
+            # or was never spawned hold None.
             if rings is not None:
                 rings.close()
                 rings.unlink()
@@ -910,8 +888,7 @@ class NetServer:
         )
         self._port = server.sockets[0].getsockname()[1]
         for index, bells in enumerate(self._doorbells):
-            if bells is not None:
-                self._watch_doorbell(index, bells)
+            self._watch_doorbell(index, bells)
         reaper = asyncio.ensure_future(self._reap_loop())
         self._started.set()
         await self._stop_async.wait()
@@ -1263,8 +1240,8 @@ class NetServer:
                 "this connection; ids must be unique until answered"
             ))
             return
-        rings = self._rings[worker]
-        if rings is not None and (
+        rings = self._rings[worker]  # an "up" worker always has its rings
+        if (
             rings.requests.free_slots() < 1
             or (op in _RING_RESULT_OPS
                 and self._ring_results[worker] >= rings.nslots)
@@ -1281,31 +1258,23 @@ class NetServer:
         ticket = next(self._ticket_seq)
         self._inflight_reqs[ticket] = (conn.id, rid, worker, binary, merge, op)
         self._by_rid[(conn.id, rid)] = ticket
-        if rings is not None and op in _RING_RESULT_OPS:
+        if op in _RING_RESULT_OPS:
             self._ring_results[worker] += 1
-        opcode = _WIRE_OPS[op]
-        if rings is not None:
-            external = (
-                payload is not None
-                and len(payload) > rings.requests.payload_capacity
-            )
-            if external:
-                # Payload first, ring entry second: by the time the
-                # worker sees the flagged entry the bytes are already in
-                # (or ahead in) its queue — order within the session is
-                # the ring's.
-                self._worker_queues[worker].put(("payload", payload))
-            rings.requests.try_push(
-                opcode, ticket, shape, None if external else payload,
-                session=session_bytes, external=external,
-            )
-            if rings.ring_kick(responses=False):
-                self._doorbells[worker].kick()
-        else:
-            self._worker_queues[worker].put(
-                ("req", ticket, opcode, session, payload,
-                 list(shape) if shape else None)
-            )
+        external = (
+            payload is not None
+            and len(payload) > rings.requests.payload_capacity
+        )
+        if external:
+            # Payload first, ring entry second: by the time the worker
+            # sees the flagged entry the bytes are already in (or ahead
+            # in) its queue — order within the session is the ring's.
+            self._worker_queues[worker].put(("payload", payload))
+        rings.requests.try_push(
+            _WIRE_OPS[op], ticket, shape, None if external else payload,
+            session=session_bytes, external=external,
+        )
+        if rings.ring_kick(responses=False):
+            self._doorbells[worker].kick()
 
     def _admit(self, conn: _Conn, rid: Any) -> bool:
         """Bounded per-connection admission: full queue means ``busy``."""
@@ -1417,11 +1386,9 @@ class NetServer:
         self._ring_results[index] = 0
         self._retire_doorbells(self._doorbells[index])
         self._doorbells[index] = None
-        old = self._rings[index]
-        if old is not None:
-            old.close()
-            old.unlink()
-            self._rings[index] = None
+        self._rings[index].close()
+        self._rings[index].unlink()
+        self._rings[index] = None
         try:
             # Wake the dead generation's pump so it exits (best-effort:
             # a poisoned queue leaves it a blocked daemon thread).
@@ -1535,8 +1502,7 @@ class NetServer:
         ):
             return False
         self._place(spawn)
-        if spawn.bells is not None:
-            self._watch_doorbell(index, spawn.bells)
+        self._watch_doorbell(index, spawn.bells)
         now = time.monotonic()
         self._worker_state[index] = "up"
         self._started_at[index] = now
@@ -1627,11 +1593,9 @@ class NetServer:
 
     def _drain_responses(self, worker: int, gen: int) -> None:
         """Clear the response kick, then drain the response ring."""
-        if worker >= len(self._gen) or gen != self._gen[worker]:
+        if worker >= len(self._rings) or gen != self._gen[worker]:
             return  # a replaced generation's doorbell; its ring is gone
-        rings = self._rings[worker] if worker < len(self._rings) else None
-        if rings is None:
-            return
+        rings = self._rings[worker]  # the current generation is "up"
         rings.clear_kick(responses=True)
         ring = rings.responses
         while True:
@@ -1773,11 +1737,7 @@ class NetServer:
         """Release one ticketed request's accounting; None if conn gone."""
         conn_id, rid, worker, _binary, _merge, op = info
         self._by_rid.pop((conn_id, rid), None)
-        if (
-            op in _RING_RESULT_OPS
-            and worker < len(self._rings)
-            and self._rings[worker] is not None
-        ):
+        if op in _RING_RESULT_OPS:
             self._ring_results[worker] -= 1
         self._inflight -= 1
         conn = self._conns.get(conn_id)

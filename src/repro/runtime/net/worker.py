@@ -18,29 +18,25 @@ applied frame by frame through the same path, so its logits are
 byte-identical to the equivalent sequence of single pushes.  When
 exactly one session is busy there is nothing to coalesce with, so its
 rows run inline on the consumer thread (:meth:`~repro.runtime.Server.\
-step_inline`) instead of paying two dispatcher wakeups per frame —
-``inline=False`` restores the dispatcher-only seed behaviour (the bench
-baseline).
+step_inline`) instead of paying two dispatcher wakeups per frame.
 
-Transport: with a :class:`~repro.runtime.net.ring.RingPair` attached,
-request payloads arrive in shared-memory ring slots and result payloads
+Transport: every worker has a :class:`~repro.runtime.net.ring.RingPair`.
+Request payloads arrive in shared-memory ring slots and result payloads
 leave the same way.  Wake-ups for both rings are one-byte doorbell pipes
 (coalesced through the ring's kick flags): the consumer thread blocks on
 its request doorbell and the request queue together, and rings the
 response doorbell that the parent's event loop watches.  The pickled
-queue path remains for control replies, oversized payloads, and the
-``transport="pipe"`` fallback.  Every per-ticket reply — ring or queue —
-carries a per-worker ``emit_seq`` so the parent restores emission order
-across the two paths.
+queues carry only control traffic and payloads larger than a slot.
+Every per-ticket reply — ring or queue — carries a per-worker
+``emit_seq`` so the parent restores emission order across the two paths.
 
 Parent → worker messages (tuples on the request queue)::
 
-    ("payload", bytes)                              # oversized ring entry's payload
-    ("req", ticket, op, session, payload, shape)    # pipe-transport request
+    ("payload", bytes)              # oversized ring entry's payload
     ("stats", token)
-    ("sessions", token)                             # list live sessions
-    ("sweep", ttl_s)                                # evict sessions idle >= ttl
-    ("hb", token)                                   # heartbeat probe
+    ("sessions", token)             # list live sessions
+    ("sweep", ttl_s)                # evict sessions idle >= ttl
+    ("hb", token)                   # heartbeat probe
     ("shutdown",)
 
 Worker → parent messages (on this worker's own reply queue — never
@@ -179,16 +175,14 @@ class _Scheduler:
     """
 
     def __init__(self, index: int, compiled: Any, server: Any,
-                 rings: RingPair | None, replies: Any, *,
-                 bell: Any = None, inline: bool = True,
+                 rings: RingPair, replies: Any, *, bell: Any,
                  session_cap: int | None = None,
                  faults: FaultInjector | None = None):
         self._index = index
         self._server = server
         self._rings = rings
-        self._bell_fd = bell.fileno() if bell is not None else -1
+        self._bell_fd = bell.fileno()
         self._replies = replies
-        self._inline = inline
         self._session_cap = session_cap
         self._faults = faults if faults else None
         self._input_size = compiled.input_size
@@ -438,7 +432,7 @@ class _Scheduler:
         # goes through the pump as a pre-resolved future to keep one
         # code path.  The moment a second session has rows in flight,
         # rows revert to submit() and coalesce as before.
-        if self._inline and self._busy_count == 1:
+        if self._busy_count == 1:
             future: Future = Future()
             try:
                 future.set_result(self._server.step_inline(row, sess.state))
@@ -612,8 +606,7 @@ class _Scheduler:
         emit_seq = self._next_emit()
         rings = self._rings
         if (
-            rings is not None
-            and len(payload) <= rings.responses.payload_capacity
+            len(payload) <= rings.responses.payload_capacity
             and rings.responses.try_push(
                 op_item.op, op_item.ticket, values.shape, payload,
                 seq_no=sess.frames, emit_seq=emit_seq,
@@ -642,15 +635,15 @@ class _Scheduler:
 class _Consumer:
     """The worker's request loop: queue messages + request-ring drains."""
 
-    def __init__(self, scheduler: _Scheduler, rings: RingPair | None,
+    def __init__(self, scheduler: _Scheduler, rings: RingPair,
                  requests: Any, replies: Any, server: Any, *,
-                 kick: Any = None, faults: FaultInjector | None = None):
+                 kick: Any, faults: FaultInjector | None = None):
         self._scheduler = scheduler
         self._rings = rings
         self._requests = requests
         self._replies = replies
         self._server = server
-        self._kick = kick  # request doorbell (read end); None: queue only
+        self._kick = kick  # request doorbell (read end); None after EOF
         # The queue's own pipe, polled next to the doorbell so control
         # messages wake the same blocking wait.
         self._queue_reader = requests._reader
@@ -659,11 +652,19 @@ class _Consumer:
         self._shutdown = False
 
     def run(self) -> None:
+        """One blocking wait over the live fds, until ``shutdown``.
+
+        The doorbell pipe carries the per-frame hot-path kicks, the
+        queue's reader connection the cold-path control traffic; no
+        feeder or relay thread stands between the parent's publish and
+        this wake-up.  After the doorbell's EOF only the queue is
+        watched, so the same loop serves the post-EOF tail.
+        """
         while not self._shutdown:
-            if self._kick is None:
-                self._handle(self._requests.get())
-                continue
-            ready = self._wait()
+            ready = wait_readable(
+                [fd for fd in (self._kick, self._queue_reader)
+                 if fd is not None]
+            )
             if self._kick in ready:
                 self._take_kick()
             if self._queue_reader in ready and not self._shutdown:
@@ -674,16 +675,6 @@ class _Consumer:
                 except Empty:
                     continue
                 self._handle(message)
-
-    def _wait(self) -> list:
-        """Block until the request doorbell or the request queue is readable.
-
-        One ``poll`` over both fds: the doorbell pipe carries the
-        per-frame hot-path kicks, the queue's reader connection the
-        cold-path control traffic.  No feeder or relay thread stands
-        between the parent's publish and this wake-up.
-        """
-        return wait_readable([self._kick, self._queue_reader])
 
     def _take_kick(self) -> None:
         """Take the doorbell bytes, clear the kick flag, drain the ring.
@@ -706,14 +697,6 @@ class _Consumer:
             self._shutdown = True
         elif kind == "payload":
             self._payloads.append(message[1])
-        elif kind == "req":
-            _, ticket, op, session, payload, shape = message
-            if self._faults:
-                self._faults.on_request()
-            self._scheduler.schedule_op(
-                ticket, op, session, payload,
-                tuple(shape) if shape else (),
-            )
         elif kind == "stats":
             self._replies.put(("res", message[1], None, {
                 "ok": True,
@@ -773,20 +756,19 @@ def worker_main(
     replies: Any,
     max_batch: int,
     max_delay_s: float,
-    shm_name: str | None = None,
-    ring_slots: int = 0,
-    slot_bytes: int = 0,
-    inline: bool = True,
-    session_cap: int | None = None,
-    faults: list | None = None,
-    kick: Any = None,
-    bell: Any = None,
+    shm_name: str,
+    ring_slots: int,
+    slot_bytes: int,
+    session_cap: int | None,
+    faults: list | None,
+    kick: Any,
+    bell: Any,
 ) -> None:
     """Entry point of one worker process (spawn-safe, module-level).
 
-    ``kick`` and ``bell`` are this generation's doorbell pipe ends (the
-    request doorbell's read end, the response doorbell's write end),
-    present exactly when ``shm_name`` is.
+    ``shm_name`` names the ring pair the parent created for this
+    generation; ``kick`` and ``bell`` are its doorbell pipe ends (the
+    request doorbell's read end, the response doorbell's write end).
     """
     # The parent owns interactive shutdown; a Ctrl-C must not produce a
     # worker traceback race while the parent is draining.
@@ -798,15 +780,13 @@ def worker_main(
     threading.Thread(target=_watch_parent, name="parent-watch",
                      daemon=True).start()
 
-    rings = None
     try:
         from repro.runtime.model import CompiledModel
         from repro.runtime.server import Server
 
-        if shm_name is not None:
-            rings = RingPair.attach(shm_name, ring_slots, slot_bytes)
-            os.set_blocking(kick.fileno(), False)
-            os.set_blocking(bell.fileno(), False)
+        rings = RingPair.attach(shm_name, ring_slots, slot_bytes)
+        os.set_blocking(kick.fileno(), False)
+        os.set_blocking(bell.fileno(), False)
         compiled = CompiledModel.load(artifact_path)
         server = Server(compiled, max_batch=max_batch, max_delay_s=max_delay_s)
     except BaseException as error:  # noqa: BLE001 — parent must learn of it
@@ -815,8 +795,8 @@ def worker_main(
 
     injector = FaultInjector(index, faults) if faults else None
     scheduler = _Scheduler(index, compiled, server, rings, replies,
-                           bell=bell, inline=inline,
-                           session_cap=session_cap, faults=injector)
+                           bell=bell, session_cap=session_cap,
+                           faults=injector)
     consumer = _Consumer(scheduler, rings, requests, replies, server,
                          kick=kick, faults=injector)
     replies.put(("ready", index))
@@ -831,5 +811,4 @@ def worker_main(
         # closes — which drains its own queued rows in turn.
         scheduler.wait_idle(timeout=30)
         server.close()
-        if rings is not None:
-            rings.close()
+        rings.close()

@@ -15,10 +15,13 @@ stalls, caps or evicts something, then pins the PR 8 contracts:
   ``sessions`` / ``evict`` / ``health`` admin ops behave as documented;
 * every worker generation's doorbell pipes are closed and unregistered
   with it — no leaked fds, no spinning on a dead worker's pipe, and a
-  replaced generation's doorbell cannot drain its successor's ring.
+  replaced generation's doorbell cannot drain its successor's ring;
+* a worker whose shared-memory ring pair cannot be created is a spawn
+  failure: ``start()`` raises, a respawn spends the restart budget.
 """
 
 import gc
+import multiprocessing
 import os
 import signal
 import threading
@@ -40,6 +43,7 @@ from repro.runtime.net import (
     UnknownSessionError,
     route_session,
 )
+from repro.runtime.net.ring import RingPair
 
 SPEC = RNNSpec("lstm", 10, (32,), 6, block_sizes=(4,))
 TIMEOUT = 15.0
@@ -315,6 +319,75 @@ class TestSupervision:
                 resumer.join()
                 assert session.recoveries >= 1
         assert got.tobytes() == want.tobytes()
+
+
+def _no_shared_memory(cls, nslots: int, payload_capacity: int) -> RingPair:
+    raise OSError("shared memory is not available here")
+
+
+class TestSharedMemoryUnavailable:
+    def test_initial_spawn_failure_raises_and_leaves_no_worker(
+        self, fixed_compiled, monkeypatch
+    ):
+        """Worker 0 gets its rings and starts; worker 1 cannot get
+        any.  start() must fail naming shared memory and tear worker 0
+        down again, not serve on a slower protocol."""
+        create = RingPair.create
+        calls = []
+
+        def second_call_fails(cls, nslots, payload_capacity):
+            calls.append(nslots)
+            if len(calls) > 1:
+                return _no_shared_memory(cls, nslots, payload_capacity)
+            return create(nslots, payload_capacity)
+
+        monkeypatch.setattr(RingPair, "create", classmethod(second_call_fails))
+        before = set(multiprocessing.active_children())
+        server = NetServer(fixed_compiled, workers=2)
+        try:
+            with pytest.raises(ConfigError, match="shared memory"):
+                server.start()
+        finally:
+            server.close()
+        assert len(calls) == 2
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_respawn_failure_spends_budget_then_degrades(
+        self, fixed_compiled, monkeypatch
+    ):
+        """Shared memory vanishes after a clean start and a worker is
+        SIGKILLed: every respawn fails, the budget runs out, the shard
+        degrades — and the other worker's stream stays byte-identical."""
+        victim, survivor = 0, 1
+        name = _name_routed_to(survivor, 2, "steady")
+        stream = _stream(12)
+        want = _standalone(fixed_compiled, stream)
+        with NetServer(fixed_compiled, workers=2, restart_budget=2) as server:
+            with Client(*server.address, timeout=TIMEOUT) as client:
+                session = client.session(name)
+                got = [session.push(frame) for frame in stream[:6]]
+                monkeypatch.setattr(
+                    RingPair, "create", classmethod(_no_shared_memory)
+                )
+                os.kill(server._procs[victim].pid, signal.SIGKILL)
+                _wait_for(
+                    lambda: client.health()["degraded"] == [victim],
+                    TIMEOUT, "shard to degrade",
+                )
+                got += [session.push(frame) for frame in stream[6:]]
+                assert session.recoveries == 0
+        assert np.stack(got).tobytes() == want.tobytes()
+        journal = [
+            event for event in server.events if event.get("worker") == victim
+        ]
+        assert [event["event"] for event in journal] == [
+            "worker_down", "worker_restart_failed", "worker_restart_failed",
+            "worker_degraded",
+        ]
+        assert all(
+            "shared memory" in event["reason"]
+            for event in journal if event["event"] == "worker_restart_failed"
+        )
 
 
 class TestSessionLifecycle:

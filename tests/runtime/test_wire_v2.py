@@ -28,6 +28,7 @@ from repro.runtime.net.protocol import (
     BIN_MAGIC,
     BIN_PREFIX,
     BIN_PUSH,
+    BIN_PUSH_MANY,
     BIN_RESULT,
     BIN_VERSION,
     MAX_LINE_BYTES,
@@ -322,7 +323,7 @@ class TestOversizedLine:
 
 
 # ----------------------------------------------------------------------
-# push_many byte-identity: both framings x both backends, both transports.
+# push_many byte-identity: both framings x both backends.
 # ----------------------------------------------------------------------
 class TestPushMany:
     @pytest.mark.parametrize("backend", ["float", "fixed"])
@@ -362,29 +363,7 @@ class TestPushMany:
             assert got.shape == (0, SPEC.output_size)
             assert session.frames_pushed == 0
 
-    def test_pipe_transport_byte_identity(self, fixed_compiled):
-        stream = _stream(10, seed=13)
-        with NetServer(fixed_compiled, workers=1, transport="pipe") as server:
-            assert server.transport == "pipe"
-            with Client(*server.address, timeout=TIMEOUT) as client:
-                session = client.session("pipe")
-                pushed = np.stack([session.push(f) for f in stream[:5]])
-                batched = session.push_many(stream[5:])
-        got = np.concatenate([pushed, batched])
-        assert got.tobytes() == _standalone(fixed_compiled, stream).tobytes()
-
-    def test_dispatcher_only_scheduling_byte_identity(self, fixed_compiled):
-        """inline_rows=False (the bench baseline) serves the same bytes."""
-        stream = _stream(8, seed=17)
-        with NetServer(
-            fixed_compiled, workers=1, inline_rows=False
-        ) as server:
-            with Client(*server.address, timeout=TIMEOUT) as client:
-                session = client.session("no-inline")
-                got = np.stack([session.push(f) for f in stream])
-        assert got.tobytes() == _standalone(fixed_compiled, stream).tobytes()
-
-    def test_inline_rows_count_in_stats(self, v2_server):
+    def test_inline_steps_count_in_stats(self, v2_server):
         """step_inline rows land in the same stats counters the
         dispatcher maintains — monitoring sees every frame."""
         stream = _stream(5, seed=19)
@@ -395,6 +374,95 @@ class TestPushMany:
                 session.push(frame)
             after = sum(e["stats"]["frames"] for e in client.stats())
         assert after - before == len(stream)
+
+
+# ----------------------------------------------------------------------
+# Payloads larger than a ring slot ride the worker queues.
+# ----------------------------------------------------------------------
+#: Interleaved batch sizes: 1 is a single ``push``; 200 and 180 frames
+#: overflow a 1 KiB slot in both the request (80 B/frame) and the reply
+#: (48 B/frame), the rest fit.
+_OVERSIZED_PLAN = (1, 200, 3, 1, 2, 180, 1)
+
+
+def _send_batch(client: Client, session: str, rows: np.ndarray) -> int:
+    """Send one push (a single row) or push_many without awaiting it."""
+    if len(rows) == 1:
+        if client.protocol >= 2:
+            return client._send_binary(
+                BIN_PUSH, session, rows[0].tobytes(), rows[0].shape
+            )
+        return client._send("push", session=session,
+                            frame=encode_array(rows[0]))
+    if client.protocol >= 2:
+        return client._send_binary(
+            BIN_PUSH_MANY, session, rows.tobytes(), rows.shape
+        )
+    return client._send("push_many", session=session,
+                        frames=encode_array(rows))
+
+
+@pytest.fixture(scope="module")
+def small_slot_server(fixed_compiled):
+    """A server whose 1 KiB slots force large batches onto the queues."""
+    with NetServer(fixed_compiled, workers=1, slot_bytes=1024) as server:
+        yield server
+
+
+class TestOversizedPayloads:
+    @pytest.mark.parametrize("protocol", [1, 2])
+    def test_blocking_interleave_matches_standalone(
+        self, small_slot_server, fixed_compiled, protocol
+    ):
+        stream = _stream(sum(_OVERSIZED_PLAN), seed=23)
+        got, start = [], 0
+        with Client(
+            *small_slot_server.address, timeout=TIMEOUT, protocol=protocol
+        ) as client:
+            session = client.session(f"oversized-{protocol}")
+            assert client.protocol == protocol  # negotiated by the open
+            for count in _OVERSIZED_PLAN:
+                rows = stream[start:start + count]
+                if count == 1:
+                    got.append(session.push(rows[0])[None])
+                else:
+                    got.append(session.push_many(rows))
+                start += count
+                # push/push_many check every reply's seq against the
+                # frames sent so far: a gap or repeat raises.
+                assert session.frames_pushed == start
+        assert np.concatenate(got).tobytes() == (
+            _standalone(fixed_compiled, stream).tobytes()
+        )
+
+    @pytest.mark.parametrize("protocol", [1, 2])
+    def test_pipelined_replies_keep_emit_order(
+        self, small_slot_server, fixed_compiled, protocol
+    ):
+        """Every batch in flight at once: small results leave through
+        the response ring, large ones through the reply queue, and the
+        parent must still answer in request order with gapless seqs."""
+        stream = _stream(sum(_OVERSIZED_PLAN), seed=29)
+        name = f"oversized-pipelined-{protocol}"
+        with Client(
+            *small_slot_server.address, timeout=TIMEOUT, protocol=protocol
+        ) as client:
+            client.session(name)
+            rids, start = [], 0
+            for count in _OVERSIZED_PLAN:
+                rids.append(
+                    _send_batch(client, name, stream[start:start + count])
+                )
+                start += count
+            got, seq = [], 0
+            for rid, count in zip(rids, _OVERSIZED_PLAN):
+                reply = client._check(client._recv_for(rid))
+                seq += count
+                assert reply["seq"] == seq
+                got.append(client._logits(reply).reshape(count, -1))
+        assert np.concatenate(got).tobytes() == (
+            _standalone(fixed_compiled, stream).tobytes()
+        )
 
 
 # ----------------------------------------------------------------------
