@@ -665,12 +665,12 @@ def bench_netserver(quick: bool) -> BenchResult:
         result.metrics[f"w{workers}_p99_ms"] = round(
             float(np.percentile(latencies, 99)) * 1e3, 3
         )
-    peak, note = _scaling_peak(
+    # Both keys on every box (the note is null when measurable), so the
+    # key set `bench --compare` checks does not depend on the CPU count.
+    (result.metrics["scaling_peak_vs_1w"],
+     result.metrics["scaling_note"]) = _scaling_peak(
         environment_info()["cpus"], worker_counts, fps_by_workers
     )
-    result.metrics["scaling_peak_vs_1w"] = peak
-    if note is not None:
-        result.metrics["scaling_note"] = note
 
     # ------------------------------------------------------------------
     # Wire-framing comparison: the same single-client stream over (a) a
@@ -831,6 +831,31 @@ def bench_netserver(quick: bool) -> BenchResult:
 
 
 # ----------------------------------------------------------------------
+def _added_hop(
+    cpus: int | None, direct_p50_us: float, gateway_p50_us: float
+) -> tuple[float | None, str | None]:
+    """``added_hop_p50_us`` — or ``None`` when the box cannot show it.
+
+    The hop cost is a *difference* of p50s, and the two configurations
+    schedule a different number of runnable actors (the gateway's event
+    loop rides alongside the backend worker and the load clients).  On a
+    box that cannot run them concurrently the difference measures
+    scheduler contention, not the hop — same convention as
+    :func:`_scaling_peak`.  Returns ``(microseconds, None)`` when
+    measurable, ``(None, reason)`` when not.
+    """
+    if cpus is not None and cpus >= 2:
+        return round(gateway_p50_us - direct_p50_us, 1), None
+    return None, (
+        f"hop cost not measurable: {cpus} CPU(s) cannot run the "
+        "gateway event loop, the backend worker, and the load clients "
+        "concurrently, so the direct-vs-gateway p50 difference would "
+        "measure scheduler contention, not the hop — the raw "
+        "direct_p50_us/gateway_p50_us observations are kept; "
+        "re-record on a >= 2 CPU box to populate added_hop_p50_us"
+    )
+
+
 @register("gateway")
 def bench_gateway(quick: bool) -> BenchResult:
     """The cluster tier's added hop and its kill-under-load recovery.
@@ -979,28 +1004,12 @@ def bench_gateway(quick: bool) -> BenchResult:
     result.metrics["gateway_fps"] = round(
         clients * frames / stats.median_s, 1
     )
-    # The hop cost is a *difference* of p50s, and the two configurations
-    # schedule a different number of runnable actors (the gateway's event
-    # loop rides alongside the backend worker and the load clients).  On
-    # a box that cannot run them concurrently the difference measures
-    # scheduler contention, not the hop — same convention as the
-    # netserver suite's scaling_peak_vs_1w.
-    cpus = environment_info()["cpus"]
-    if cpus is not None and cpus >= 2:
-        result.metrics["added_hop_p50_us"] = round(
-            result.metrics["gateway_p50_us"]
-            - result.metrics["direct_p50_us"], 1
-        )
-    else:
-        result.metrics["added_hop_p50_us"] = None
-        result.metrics["added_hop_note"] = (
-            f"hop cost not measurable: {cpus} CPU(s) cannot run the "
-            "gateway event loop, the backend worker, and the load clients "
-            "concurrently, so the direct-vs-gateway p50 difference would "
-            "measure scheduler contention, not the hop — the raw "
-            "direct_p50_us/gateway_p50_us observations are kept; "
-            "re-record on a >= 2 CPU box to populate added_hop_p50_us"
-        )
+    (result.metrics["added_hop_p50_us"],
+     result.metrics["added_hop_note"]) = _added_hop(
+        environment_info()["cpus"],
+        result.metrics["direct_p50_us"],
+        result.metrics["gateway_p50_us"],
+    )
 
     # ------------------------------------------------------------------
     # Kill-under-load: SIGKILL one whole backend beneath reattaching

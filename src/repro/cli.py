@@ -257,192 +257,44 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _selftest_expected(compiled, streams):
-    """Conformance check + per-stream standalone baselines, or None on failure.
+def _drill_plan(args: argparse.Namespace):
+    """The artifact a selftest serves and the drill plan that gates it."""
+    from repro.runtime import drills
 
-    A conformance violation is a serving-blocker, so it must exit nonzero
-    with a message that says what is broken and what to do about it — not
-    a generic traceback-shaped error.
-    """
-    import sys
-
-    import numpy as np
-
-    from repro.runtime import ConformanceError, check_conformance
-
-    try:
-        check_conformance(
-            compiled.executor(),
-            np.ascontiguousarray(streams.transpose(1, 0, 2)),
-        )
-    except ConformanceError as error:
-        print(
-            f"SELFTEST FAILED: backend {compiled.backend!r} violates the "
-            f"serving conformance contract: {error}\n"
-            "  this artifact must not be served; fix the backend's "
-            "step/step_rows/run implementation (see docs/runtime.md, 'The "
-            "conformance contract') and re-run repro serve --selftest",
-            file=sys.stderr,
-        )
-        return None
-    return [compiled.run(s[:, None, :])[:, 0] for s in streams]
+    if args.lm:
+        compiled, vocab = drills.lm_fixture_artifact(args.backend, args.bits)
+        return drills.LmPlan(compiled, vocab, args.sessions, args.frames)
+    return drills.AsrPlan(_compiled_from_args(args), args.sessions,
+                          args.frames, args.seed)
 
 
-def _lm_fixture_artifact(backend: str, bits: int):
-    """The built-in selftest char-LM: trained on the demo corpus, seeded.
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.runtime import drills
 
-    Every ``--lm`` selftest re-derives this artifact deterministically, so
-    the wire byte-gate has a known-good in-process baseline without any
-    checkpoint file.  Returns ``(compiled, vocab)``.
-    """
-    from repro import runtime
-    from repro.lm import (
-        DEMO_TEXT,
-        CharVocab,
-        LMTrainConfig,
-        build_char_lm,
-        train_char_lm,
-    )
+    if args.port is not None:
+        return _cmd_serve_net(args)
+    if args.lm:
+        print("--lm needs network serving: add --port (and --selftest)",
+              file=sys.stderr)
+        return 2
 
-    vocab = CharVocab.from_text(DEMO_TEXT)
-    model = build_char_lm(
-        vocab.size, layer_sizes=(32,), cell_type="gru",
-        block_sizes=(4,), seed=0,
-    )
-    train_char_lm(model, vocab.encode(DEMO_TEXT), LMTrainConfig(epochs=2))
-    compiled = runtime.compile(
-        model, backend=backend, weight_bits=bits,
-        workload="lm", vocab=vocab,
-    )
-    return compiled, vocab
-
-
-def _lm_selftest_soak(host, port, compiled, vocab, args, disrupt=None):
-    """Drive seeded generation + scoring sessions over the wire.
-
-    Each client runs generate → score → generate on ONE session, so the
-    second generation continues from state the first two ops built; the
-    baseline is the same op sequence on an in-process session.  ``disrupt``
-    (kill a backend, drain a node) fires once every client has finished
-    its first two ops, so the final generation always crosses the fault.
-    Returns ``(mismatched, recoveries, errors, elapsed)``.
-    """
-    import threading
-    import time
-
-    from repro.lm import DEMO_TEXT
-    from repro.runtime import ConformanceError, Session, check_conformance
-    from repro.runtime.net import Client
-
-    import numpy as np
-
-    try:
-        probe = np.eye(compiled.input_size)[: min(8, compiled.input_size)]
-        check_conformance(
-            compiled.executor(),
-            np.ascontiguousarray(probe[:, None, :]),
-            workload=compiled.workload_info,
-        )
-    except ConformanceError as error:
-        print(
-            f"SELFTEST FAILED: backend {compiled.backend!r} violates the "
-            f"serving conformance contract: {error}",
-            file=sys.stderr,
-        )
-        return None, None, [str(error)], 0.0
-
-    corpus = vocab.encode(DEMO_TEXT)
-    steps = max(4, args.frames // 2)
-    plans = []
-    for index in range(args.sessions):
-        offset = (3 * index) % max(1, corpus.size - 4)
-        plans.append({
-            "prompt": [int(t) for t in corpus[offset:offset + 4]],
-            "score": [int(t) for t in corpus[:24]],
-            "seeds": (101 + index, 257 + index),
-        })
-
-    def run_ops(session, plan):
-        first = session.generate(
-            plan["prompt"], steps=steps,
-            temperature=0.8, top_k=5, seed=plan["seeds"][0],
-        )
-        logprobs = session.score(plan["score"])
-        second = session.generate(
-            [first[-1]], steps=steps,
-            temperature=0.8, top_k=5, seed=plan["seeds"][1],
-        )
-        return (tuple(first), logprobs.tobytes(), tuple(second))
-
-    expected = [run_ops(Session(compiled), plan) for plan in plans]
-
-    outputs = [None] * args.sessions
-    recoveries = [0] * args.sessions
-    errors: list = []
-    # every client finishes generate+score before the disruption fires,
-    # so the second generation always rides through the fault window
-    midpoint = threading.Barrier(args.sessions + 1, timeout=120)
-
-    def client_thread(index: int) -> None:
-        plan = plans[index]
-        try:
-            with Client(host, port, protocol=args.wire,
-                        timeout=120) as client:
-                session = client.session(f"lm-selftest-{index}",
-                                         reattach=True)
-                first = session.generate(
-                    plan["prompt"], steps=steps,
-                    temperature=0.8, top_k=5, seed=plan["seeds"][0],
-                )
-                logprobs = session.score(plan["score"])
-                midpoint.wait()
-                second = session.generate(
-                    [first[-1]], steps=steps,
-                    temperature=0.8, top_k=5, seed=plan["seeds"][1],
-                )
-                outputs[index] = (
-                    tuple(first), logprobs.tobytes(), tuple(second)
-                )
-                recoveries[index] = session.recoveries
-                session.close()
-        except Exception as error:  # noqa: BLE001 — reported below
-            errors.append(f"lm session {index}: {error}")
-            try:
-                midpoint.abort()
-            except Exception:  # repro: ignore[REP005] barrier may already be broken; the error above is the story
-                pass
-
-    threads = [
-        threading.Thread(target=client_thread, args=(index,))
-        for index in range(args.sessions)
-    ]
-    start = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    try:
-        midpoint.wait()
-    except threading.BrokenBarrierError:
-        pass
-    if disrupt is not None and not errors:
-        disrupt()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - start
-
-    mismatched = [
-        index for index in range(args.sessions)
-        if outputs[index] != expected[index]
-    ]
-    return mismatched, recoveries, errors, elapsed
+    plan = _drill_plan(args)
+    print(plan.compiled.describe())
+    with plan.compiled.serve(
+        max_batch=args.max_batch, max_delay_s=args.delay_ms / 1e3
+    ) as server:
+        # Without --selftest this is the load demo: the same soak, no gate.
+        code = drills.run_drill(drills.in_process_target(server), plan,
+                                selftest=args.selftest)
+        stats = server.stats()
+    if code == 0:
+        print(f"  {stats.describe()}")
+    return code
 
 
 def _cmd_serve_net(args: argparse.Namespace) -> int:
     """Network serving mode: repro serve --port ... [--selftest]."""
-    import threading
-    import time
-
-    import numpy as np
-
+    from repro.runtime import drills
     from repro.runtime.net import Client, NetServer
 
     if args.chaos and not args.selftest:
@@ -459,14 +311,10 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
             f"kill:worker={index},after={4 + 3 * index}"
             for index in range(args.workers)
         ]
-    vocab = None
-    if args.lm:
-        compiled, vocab = _lm_fixture_artifact(args.backend, args.bits)
-    else:
-        compiled = _compiled_from_args(args)
-    print(compiled.describe())
+    plan = _drill_plan(args)
+    print(plan.compiled.describe())
     server = NetServer(
-        compiled,
+        plan.compiled,
         host=args.host,
         port=args.port,
         workers=args.workers,
@@ -502,171 +350,30 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
         return 0
 
     try:
-        if args.lm:
-            mismatched, recoveries, errors, elapsed = _lm_selftest_soak(
-                host, port, compiled, vocab, args
-            )
-            if errors:
-                print(
-                    "SELFTEST FAILED: client error(s): " + "; ".join(errors),
-                    file=sys.stderr,
-                )
-                return 1
-            if mismatched:
-                print(
-                    "SELFTEST FAILED: generation served over the wire "
-                    f"differs from in-process sessions on {mismatched}",
-                    file=sys.stderr,
-                )
-                return 1
-            print(
-                f"lm selftest: {args.sessions} generation sessions "
-                f"(generate → score → generate) byte-identical over the "
-                f"wire in {elapsed * 1e3:.1f} ms (wire v{args.wire})"
-            )
-            if args.chaos:
-                with Client(host, port) as client:
-                    health = client.health()
-                kills = [event for event in server.events
-                         if event["event"] == "worker_down"]
-                if not kills or not health["restarts_total"]:
+        evidence = [drills.WorkerFaults(server)] if args.chaos else []
+        code = drills.run_drill(drills.net_target(server, args.wire), plan,
+                                evidence)
+        if code == 0:
+            with Client(host, port) as client:
+                for entry in client.stats():
+                    if not entry.get("ok", True):
+                        print(f"  worker {entry.get('worker')}: "
+                              f"{entry.get('error')}")
+                        continue
+                    stats = entry["stats"]
                     print(
-                        "SELFTEST FAILED: chaos was armed but no worker "
-                        "death and supervised restart were observed — the "
-                        "faults never fired (lower after=)",
-                        file=sys.stderr,
+                        f"  worker {entry['worker']}: {stats['frames']} "
+                        f"frames in {stats['batches']} batches "
+                        f"(mean {stats['mean_coalesced']:.2f} rows)"
                     )
-                    return 1
-                if health["degraded"]:
-                    print(
-                        "SELFTEST FAILED: worker(s) degraded under chaos "
-                        f"({health['degraded']})",
-                        file=sys.stderr,
-                    )
-                    return 1
-                print(
-                    f"chaos: {len(kills)} worker death(s), "
-                    f"{health['restarts_total']} restart(s), "
-                    f"{sum(recoveries)} session recovery(ies) — seeded "
-                    "generation reproduced byte-identically through the "
-                    "journal replay"
-                )
-            return 0
-        rng = np.random.default_rng(args.seed)
-        streams = rng.standard_normal(
-            (args.sessions, args.frames, compiled.input_size)
-        )
-        expected = _selftest_expected(compiled, streams)
-        if expected is None:
-            return 1
-
-        outputs: list = [None] * args.sessions
-        recoveries = [0] * args.sessions
-        errors: list = []
-
-        def client_thread(index: int) -> None:
-            try:
-                with Client(host, port, protocol=args.wire) as client:
-                    session = client.session(f"selftest-{index}")
-                    outputs[index] = session.run(streams[index], window=8)
-                    recoveries[index] = session.recoveries
-            except Exception as error:  # noqa: BLE001 — reported below
-                errors.append(f"stream {index}: {error}")
-
-        threads = [
-            threading.Thread(target=client_thread, args=(index,))
-            for index in range(args.sessions)
-        ]
-        start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - start
-
-        if errors:
-            print(
-                "SELFTEST FAILED: client error(s): " + "; ".join(errors),
-                file=sys.stderr,
-            )
-            return 1
-        mismatched = [
-            index
-            for index in range(args.sessions)
-            if not np.array_equal(outputs[index], expected[index])
-        ]
-        if mismatched:
-            print(
-                f"SELFTEST FAILED: logits served over the wire differ from "
-                f"standalone sessions on stream(s) {mismatched}",
-                file=sys.stderr,
-            )
-            return 1
-        total = args.sessions * args.frames
-        print(
-            f"served {total} frames to {args.sessions} net clients across "
-            f"{args.workers} workers in {elapsed * 1e3:.1f} ms "
-            f"({total / elapsed:,.0f} frames/s; wire v{args.wire})"
-        )
-        with Client(host, port) as client:
-            for entry in client.stats():
-                if not entry.get("ok", True):
-                    print(f"  worker {entry.get('worker')}: "
-                          f"{entry.get('error')}")
-                    continue
-                stats = entry["stats"]
-                print(
-                    f"  worker {entry['worker']}: {stats['frames']} frames "
-                    f"in {stats['batches']} batches "
-                    f"(mean {stats['mean_coalesced']:.2f} rows)"
-                )
-            health = client.health()
-        if args.chaos:
-            kills = [event for event in server.events
-                     if event["event"] == "worker_down"]
-            print(
-                f"chaos: {len(kills)} worker death(s), "
-                f"{health['restarts_total']} restart(s), "
-                f"{sum(recoveries)} client recovery(ies), "
-                f"degraded workers: {health['degraded'] or 'none'}"
-            )
-            if not kills or not health["restarts_total"]:
-                print(
-                    "SELFTEST FAILED: chaos was armed but no worker death "
-                    "and supervised restart were observed — the faults "
-                    "never fired (raise --frames or lower after=)",
-                    file=sys.stderr,
-                )
-                return 1
-            if health["degraded"]:
-                print(
-                    "SELFTEST FAILED: worker(s) degraded under chaos "
-                    f"({health['degraded']}); the restart budget was "
-                    "exhausted instead of the fleet healing",
-                    file=sys.stderr,
-                )
-                return 1
-            print(
-                "chaos selftest ok: every stream byte-identical through "
-                "worker deaths, supervised restarts, and client reattach"
-            )
-            return 0
-        print(
-            "selftest ok: every stream served over the wire byte-identical "
-            "to its standalone session"
-        )
-        return 0
+        return code
     finally:
         server.close()
 
 
 def _cmd_gateway(args: argparse.Namespace) -> int:
     """Cluster tier: front N NetServer backends behind one endpoint."""
-    import threading
-    import time
-
-    import numpy as np
-
+    from repro.runtime import drills
     from repro.runtime.cluster import BackendFleet, Gateway
     from repro.runtime.net import Client
 
@@ -695,14 +402,10 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         backend_keys = [part.strip() for part in args.backends.split(",")
                         if part.strip()]
     else:
-        vocab = None
-        if args.lm:
-            compiled, vocab = _lm_fixture_artifact(args.backend, args.bits)
-        else:
-            compiled = _compiled_from_args(args)
-        print(compiled.describe())
+        plan = _drill_plan(args)
+        print(plan.compiled.describe())
         fleet = BackendFleet(
-            compiled,
+            plan.compiled,
             count=args.count,
             workers=args.workers,
             queue_limit=args.queue_limit,
@@ -735,227 +438,20 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             print("gateway stopped; bye")
             return 0
 
-        if args.lm:
-            admin = Client(host, port, timeout=120)
-            killed = drained = None
-
-            def disrupt() -> None:
-                nonlocal killed, drained
-                if args.chaos:
-                    killed = backend_keys[0]
-                    fleet.kill(0)
-                    print(f"chaos: SIGKILLed backend {killed} mid-soak")
-                if args.drain:
-                    drained = backend_keys[-1]
-                    reply = admin.cluster_drain(drained, force=True,
-                                                wait_s=60)
-                    print(f"drain: rolled {drained} out mid-soak "
-                          f"(drained={reply['drained']})")
-
-            mismatched, recoveries, errors, elapsed = _lm_selftest_soak(
-                host, port, compiled, vocab, args,
-                disrupt=disrupt if (args.chaos or args.drain) else None,
-            )
-            if errors:
-                print(
-                    "SELFTEST FAILED: client error(s): " + "; ".join(errors),
-                    file=sys.stderr,
-                )
-                return 1
-            if mismatched:
-                print(
-                    "SELFTEST FAILED: generation served through the gateway "
-                    f"differs from in-process sessions on {mismatched}",
-                    file=sys.stderr,
-                )
-                return 1
-            health = admin.cluster_health()
-            print(
-                f"lm selftest: {args.sessions} generation sessions "
-                f"(generate → score → generate) byte-identical through the "
-                f"gateway in {elapsed * 1e3:.1f} ms (wire v{args.wire})"
-            )
-            for entry in health["backends"]:
-                print(f"  backend {entry['backend']}: state "
-                      f"{entry['state']}, {entry['sessions_placed']} "
-                      "session(s) placed")
-            events = [event["event"] for event in gateway.events]
-            if args.chaos:
-                states = {b["backend"]: b["state"]
-                          for b in health["backends"]}
-                if ("backend_down" not in events
-                        or states.get(killed) != "down"):
-                    print(
-                        "SELFTEST FAILED: chaos was armed but the gateway "
-                        f"never marked {killed} down (events: {events})",
-                        file=sys.stderr,
-                    )
-                    return 1
-                if not sum(recoveries):
-                    print(
-                        "SELFTEST FAILED: a backend died but no generation "
-                        "session failed over — the kill landed after the "
-                        "soak finished (raise --frames)",
-                        file=sys.stderr,
-                    )
-                    return 1
-                print(
-                    f"chaos ok: {sum(recoveries)} session failover(s) — "
-                    "seeded generation replayed byte-identically onto the "
-                    "surviving backend"
-                )
-            if args.drain:
-                ring = health["ring"]["nodes"]
-                if "backend_removed" not in events or drained in ring:
-                    print(
-                        f"SELFTEST FAILED: drain of {drained} never "
-                        f"completed (ring: {ring}, events: {events})",
-                        file=sys.stderr,
-                    )
-                    return 1
-                print(
-                    f"drain ok: {drained} left the ring mid-soak, every "
-                    "generation byte-identical"
-                )
-            admin.close()
-            print(
-                "gateway lm selftest ok: seeded generation and scoring "
-                "served through the cluster tier byte-identical to "
-                "in-process sessions"
-            )
-            return 0
-
-        rng = np.random.default_rng(args.seed)
-        streams = rng.standard_normal(
-            (args.sessions, args.frames, compiled.input_size)
-        )
-        expected = _selftest_expected(compiled, streams)
-        if expected is None:
-            return 1
-
-        half = args.frames // 2
-        outputs: list = [None] * args.sessions
-        recoveries = [0] * args.sessions
-        errors: list = []
-        # every client reaches `half` frames before the disruption fires,
-        # so a kill/drain always lands mid-stream, never before or after
-        midpoint = threading.Barrier(args.sessions + 1, timeout=120)
-
-        def client_thread(index: int) -> None:
-            try:
-                with Client(host, port, protocol=args.wire,
-                            timeout=120) as client:
-                    session = client.session(f"gw-selftest-{index}",
-                                             reattach=True)
-                    rows = []
-                    for t in range(half):
-                        rows.append(session.push(streams[index][t]))
-                    midpoint.wait()
-                    for t in range(half, args.frames):
-                        rows.append(session.push(streams[index][t]))
-                    outputs[index] = np.stack(rows)
-                    recoveries[index] = session.recoveries
-                    session.close()
-            except Exception as error:  # noqa: BLE001 — reported below
-                errors.append(f"stream {index}: {error}")
-                try:
-                    midpoint.abort()
-                except Exception:  # repro: ignore[REP005] barrier may already be broken; the error above is the story
-                    pass
-
-        threads = [
-            threading.Thread(target=client_thread, args=(index,))
-            for index in range(args.sessions)
-        ]
-        start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        midpoint.wait()
-
-        admin = Client(host, port, timeout=120)
-        killed = drained = None
-        if args.chaos:
-            killed = backend_keys[0]
-            fleet.kill(0)
-            print(f"chaos: SIGKILLed backend {killed} mid-soak")
+        # The kill fires first, while every stream is still in flight.
+        kill = drills.BackendKill(gateway, fleet) if args.chaos else None
+        evidence = [kill] if kill else []
         if args.drain:
-            drained = backend_keys[-1]
-            reply = admin.cluster_drain(drained, force=True, wait_s=60)
-            print(f"drain: rolled {drained} out mid-soak "
-                  f"(drained={reply['drained']})")
-
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - start
-
-        if errors:
-            print("SELFTEST FAILED: client error(s): " + "; ".join(errors),
-                  file=sys.stderr)
-            return 1
-        mismatched = [
-            index for index in range(args.sessions)
-            if not np.array_equal(outputs[index], expected[index])
-        ]
-        if mismatched:
-            print(
-                "SELFTEST FAILED: logits served through the gateway differ "
-                f"from standalone sessions on stream(s) {mismatched}",
-                file=sys.stderr,
-            )
-            return 1
-
-        total = args.sessions * args.frames
-        health = admin.cluster_health()
-        print(
-            f"served {total} frames to {args.sessions} net clients through "
-            f"the gateway in {elapsed * 1e3:.1f} ms "
-            f"({total / elapsed:,.0f} frames/s; wire v{args.wire})"
-        )
-        for entry in health["backends"]:
-            print(f"  backend {entry['backend']}: state {entry['state']}, "
-                  f"{entry['sessions_placed']} session(s) placed")
-        admin.close()
-
-        events = [event["event"] for event in gateway.events]
-        if args.chaos:
-            states = {b["backend"]: b["state"] for b in health["backends"]}
-            if "backend_down" not in events or states.get(killed) != "down":
-                print(
-                    "SELFTEST FAILED: chaos was armed but the gateway never "
-                    f"marked {killed} down (events: {events})",
-                    file=sys.stderr,
-                )
-                return 1
-            if not sum(recoveries):
-                print(
-                    "SELFTEST FAILED: a backend died but no client session "
-                    "recovered — the kill landed after the soak finished "
-                    "(raise --frames)",
-                    file=sys.stderr,
-                )
-                return 1
-            print(
-                f"chaos ok: {sum(recoveries)} session recovery(ies) across "
-                "the killed backend, every stream byte-identical"
-            )
-        if args.drain:
-            ring = health["ring"]["nodes"]
-            if "backend_removed" not in events or drained in ring:
-                print(
-                    f"SELFTEST FAILED: drain of {drained} never completed "
-                    f"(ring: {ring}, events: {events})",
-                    file=sys.stderr,
-                )
-                return 1
-            print(
-                f"drain ok: {drained} left the ring mid-soak, every stream "
-                "byte-identical"
-            )
-        print(
-            "gateway selftest ok: every stream served through the cluster "
-            "tier byte-identical to its standalone session"
-        )
-        return 0
+            evidence.append(drills.Drain(gateway, fleet, kill))
+        code = drills.run_drill(drills.gateway_target(gateway, args.wire),
+                                plan, evidence)
+        if code == 0:
+            with Client(host, port, timeout=120) as admin:
+                for entry in admin.cluster_health()["backends"]:
+                    print(f"  backend {entry['backend']}: state "
+                          f"{entry['state']}, {entry['sessions_placed']} "
+                          "session(s) placed")
+        return code
     finally:
         gateway.close()
         if fleet is not None:
@@ -1068,86 +564,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     except ReproError as error:
         print(f"generate failed: {error}", file=sys.stderr)
         return 1
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import threading
-    import time
-
-    import numpy as np
-
-    if args.port is not None:
-        return _cmd_serve_net(args)
-    if args.lm:
-        print("--lm needs network serving: add --port (and --selftest)",
-              file=sys.stderr)
-        return 2
-
-    compiled = _compiled_from_args(args)
-    print(compiled.describe())
-    rng = np.random.default_rng(args.seed)
-    streams = rng.standard_normal(
-        (args.sessions, args.frames, compiled.input_size)
-    )
-
-    expected = None
-    if args.selftest:
-        # The row-isolation contract, end to end: a served stream must be
-        # byte-identical to the same frames through a standalone session
-        # (checked per stream below) *and* to the batched run.
-        expected = _selftest_expected(compiled, streams)
-        if expected is None:
-            return 1
-
-    outputs: list = [None] * args.sessions
-    server = compiled.serve(
-        max_batch=args.max_batch, max_delay_s=args.delay_ms / 1e3
-    )
-
-    def client(index: int) -> None:
-        with server.session() as session:
-            outputs[index] = np.stack(
-                [session.push(frame) for frame in streams[index]]
-            )
-
-    threads = [
-        threading.Thread(target=client, args=(index,))
-        for index in range(args.sessions)
-    ]
-    start = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - start
-    stats = server.stats()
-    server.close()
-
-    total = args.sessions * args.frames
-    print(
-        f"served {total} frames to {args.sessions} concurrent sessions in "
-        f"{elapsed * 1e3:.1f} ms ({total / elapsed:,.0f} frames/s)"
-    )
-    print(f"  {stats.describe()}")
-
-    if args.selftest:
-        mismatched = [
-            index
-            for index in range(args.sessions)
-            if not np.array_equal(outputs[index], expected[index])
-        ]
-        if mismatched:
-            print(
-                f"SELFTEST FAILED: served bytes differ on stream(s) "
-                f"{mismatched}",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            "selftest ok: every served stream byte-identical to its "
-            "standalone batched run"
-        )
     return 0
 
 

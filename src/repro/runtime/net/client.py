@@ -907,6 +907,18 @@ class NetSession:
                             "mid-stream (worker ring saturated); reopen "
                             "and replay to recover the frame order"
                         )
+                    # A retryable error is an admission verdict too: the
+                    # gateway refuses a frame behind the head at once
+                    # when its session was re-placed mid-pipeline.  Same
+                    # ordering hazard, same recovery.
+                    if reply.get("retryable") and any(
+                        reply.get("id") == prid for prid, _ in pending
+                    ):
+                        raise RetryableError(
+                            "a pipelined push was refused mid-stream "
+                            f"({reply.get('error')}); reopen and replay "
+                            "to recover the frame order"
+                        )
                     raise NetError(
                         f"reply id {reply.get('id')!r} does not match "
                         f"request {rid} (one Client per thread; replies "

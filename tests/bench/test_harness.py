@@ -135,3 +135,38 @@ class TestScalingPeak:
         peak, note = _scaling_peak(2, (1, 2), {1: 100.0, 2: 150.0})
         assert peak == 1.5
         assert note is None
+
+
+class TestCpuGatedKeysAreStable:
+    """A suite writes the same metric keys on every box.
+
+    ``repro bench --compare`` counts a vanished key as a dropped probe, so
+    a note key written only on small boxes made a fresh 2-CPU run of the
+    gateway suite fail against the committed 1-CPU artifact.  The
+    committed ``BENCH_gateway.json`` (1 CPU) and ``BENCH_netserver.json``
+    (2 CPUs, under 4 workers) were both recorded below their suite's CPU
+    gate; a quick run that believes it has 8 CPUs must write exactly their
+    metric keys.
+    """
+
+    @pytest.mark.parametrize("suite", ["gateway", "netserver"])
+    def test_eight_cpu_run_writes_the_committed_keys(self, suite,
+                                                     monkeypatch):
+        from pathlib import Path
+
+        from repro.bench import environment_info, suites
+
+        committed = json.loads(
+            (Path(__file__).parents[2] / f"BENCH_{suite}.json").read_text()
+        )
+        monkeypatch.setattr(suites, "environment_info",
+                            lambda: {**environment_info(), "cpus": 8})
+        (result,) = run_benchmarks([suite], quick=True)
+        assert set(result.metrics) == set(committed["metrics"])
+
+    def test_added_hop_gate(self):
+        from repro.bench.suites import _added_hop
+
+        assert _added_hop(8, 900.0, 1000.0) == (100.0, None)
+        hop, note = _added_hop(1, 900.0, 1000.0)
+        assert hop is None and "1 CPU(s)" in note and "re-record" in note
