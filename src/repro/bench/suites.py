@@ -14,6 +14,8 @@ frames at batch 8; ``--quick`` shrinks every suite to smoke-test scale
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from repro.bench import BenchResult, environment_info, register, time_callable
@@ -30,6 +32,38 @@ def _speedup(result: BenchResult, name: str, slow: str, fast: str) -> None:
     result.metrics[name] = round(
         result.timings[slow].median_s / result.timings[fast].median_s, 2
     )
+
+
+def _served(target, plan, expected: list, disrupt=None):
+    """One :func:`~repro.runtime.drills.soak` of ``plan`` on ``target``,
+    byte-gated: every served output must equal ``expected`` — a fast
+    number computed from other bytes is a bug, not a result."""
+    from repro.runtime import drills
+
+    result = drills.soak(target, plan, disrupt)
+    if result.errors:
+        raise AssertionError("client error(s): " + "; ".join(result.errors))
+    bad = drills.mismatches(plan, result, expected)
+    if bad:
+        raise AssertionError(
+            f"served outputs differ from the baseline on {plan.unit}(s) {bad}"
+        )
+    return result
+
+
+def _poll(address, op: str, done, what: str) -> dict:
+    """Poll the admin ``op`` until ``done(reply)``; fail after 60 s."""
+    import time
+
+    from repro.runtime.net import Client
+
+    deadline = time.perf_counter() + 60
+    with Client(*address, timeout=60) as probe:
+        while not done(reply := getattr(probe, op)()):
+            if time.perf_counter() > deadline:
+                raise AssertionError(f"{what} within 60s")
+            time.sleep(0.002)
+    return reply
 
 
 # ----------------------------------------------------------------------
@@ -364,19 +398,18 @@ def bench_runtime_session(quick: bool) -> BenchResult:
     * ``batched_run`` — one hoisted ``CompiledModel.run`` over a
       width-``S`` stream (the offline evaluation path);
     * ``server_microbatched`` — ``S`` concurrent width-1 sessions through
-      the micro-batching :class:`repro.runtime.Server`, one client thread
-      each.
+      the micro-batching :class:`repro.runtime.Server`, driven by
+      :func:`repro.runtime.drills.soak` (one client thread each).
 
     Before timing, every path is asserted byte-identical to its contract:
     streaming ≡ batched ≡ ``CUEmulator.forward_reference``, and each
-    served stream ≡ its standalone session.  ``speedup_microbatch``
-    is (server total frames/s) / (single-session frames/s).
+    served stream ≡ its standalone batched run (every served pass is
+    gated).  ``speedup_microbatch`` is (server total frames/s) /
+    (single-session frames/s).
     """
-    import threading
-
     from repro.config import RNNSpec
     from repro.nn.rnn import StackedRNNClassifier
-    from repro.runtime import compile as compile_model
+    from repro.runtime import compile as compile_model, drills
 
     if quick:
         hidden, sessions, frames, repeats = 64, 8, 16, 2
@@ -392,9 +425,8 @@ def bench_runtime_session(quick: bool) -> BenchResult:
         spec, structured=True, rng=np.random.default_rng(0)
     )
     compiled = compile_model(model, backend="fixed", weight_bits=12)
-    streams = np.random.default_rng(1).standard_normal(
-        (sessions, frames, spec.input_size)
-    )
+    plan = drills.PushPlan(compiled, sessions, frames, seed=1)
+    streams = plan.streams
     stacked = np.ascontiguousarray(streams.transpose(1, 0, 2))  # (T, S, D)
 
     # -- byte-identity gates (a fast serving path that computes something
@@ -405,37 +437,13 @@ def bench_runtime_session(quick: bool) -> BenchResult:
     assert np.array_equal(streamed, batched), "streaming != batched run"
     reference = compiled.executor().emulator.forward_reference(stacked)
     assert np.array_equal(batched, reference), "runtime != per-frame oracle"
+    expected = plan.baseline()
 
-    single_outputs = [
-        np.stack([sess.push(frame) for frame in streams[s]])
-        for s, sess in (
-            (s, compiled.session()) for s in range(sessions)
-        )
-    ]
-
-    def serve_all(check: bool = False) -> None:
+    def serve_all() -> None:
         with compiled.serve(max_batch=sessions, max_delay_s=0.005) as server:
-            failures: list[str] = []
+            _served(drills.in_process_target(server), plan, expected)
 
-            def client(index: int) -> None:
-                with server.session() as served:
-                    out = np.stack(
-                        [served.push(frame) for frame in streams[index]]
-                    )
-                if check and not np.array_equal(out, single_outputs[index]):
-                    failures.append(f"stream {index}")
-
-            threads = [
-                threading.Thread(target=client, args=(s,))
-                for s in range(sessions)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert not failures, f"served bytes differ: {failures}"
-
-    serve_all(check=True)  # row-isolation contract, end to end
+    serve_all()  # row-isolation contract, end to end
 
     result = BenchResult(
         "runtime_session",
@@ -515,13 +523,15 @@ def _scaling_peak(
 def bench_netserver(quick: bool) -> BenchResult:
     """Served-over-TCP throughput and latency, per worker count.
 
-    A load generator (``clients`` blocking stdlib net clients, one thread
-    each) pushes every stream frame by frame through
-    :class:`repro.runtime.net.NetServer` at each worker count, recording
-    the wall time (throughput) and every push's round-trip latency
-    (p50/p95/p99).  Before any timing, each configuration's served logits
-    are asserted byte-identical to standalone sessions — the end-to-end
-    wire invariant — so a fast number can never come from wrong bytes.
+    A :func:`repro.runtime.drills.soak` of a
+    :class:`~repro.runtime.drills.PushPlan` (``clients`` blocking stdlib
+    net clients, one thread each) pushes every stream frame by frame
+    through :class:`repro.runtime.net.NetServer` at each worker count,
+    recording the wall time (throughput) and every push's round-trip
+    latency (p50/p95/p99).  Every pass, the untimed warmup included,
+    asserts the served logits byte-identical to standalone runs — the
+    end-to-end wire invariant — so a fast number can never come from
+    wrong bytes.
 
     Blocking pushes measure the *deployment* path (one frame in flight
     per stream, like a live feature front-end); the micro-batching window
@@ -547,12 +557,13 @@ def bench_netserver(quick: bool) -> BenchResult:
     thread wakeups, not by framing; the framing and IPC savings surface
     once batching amortises the per-round-trip overhead.
     """
-    import threading
+    import os
+    import signal
     import time
 
     from repro.config import RNNSpec
     from repro.nn.rnn import StackedRNNClassifier
-    from repro.runtime import compile as compile_model
+    from repro.runtime import compile as compile_model, drills
     from repro.runtime.net import Client, NetServer
 
     # Quick runs keep every worker count (and so every metric key) of a
@@ -570,12 +581,9 @@ def bench_netserver(quick: bool) -> BenchResult:
         spec, structured=True, rng=np.random.default_rng(0)
     )
     compiled = compile_model(model, backend="fixed", weight_bits=12)
-    streams = np.random.default_rng(1).standard_normal(
-        (clients, frames, spec.input_size)
-    )
-    expected = [
-        compiled.session().run(stream[:, None, :])[:, 0] for stream in streams
-    ]
+    plan = drills.PushPlan(compiled, clients, frames, seed=1)
+    streams = plan.streams
+    expected = plan.baseline()
 
     result = BenchResult(
         "netserver",
@@ -597,74 +605,27 @@ def bench_netserver(quick: bool) -> BenchResult:
         },
     )
 
-    passes = iter(range(1_000_000))  # unique session names per pass
-
-    def run_load(server: NetServer) -> list[float]:
-        """One load-generator pass against a running server; returns
-        per-push round-trip latencies.  Worker spawn cost is deliberately
-        *outside* every timed region — this measures serving, not boot."""
-        tag = next(passes)
-        latencies: list[float] = []
-        failures: list[str] = []
-        lock = threading.Lock()
-
-        def load_client(index: int) -> None:
-            mine: list[float] = []
-            try:
-                with Client(*server.address, timeout=60) as client:
-                    session = client.session(f"bench-{tag}-{index}")
-                    out = []
-                    for frame in streams[index]:
-                        start = time.perf_counter()
-                        out.append(session.push(frame))
-                        mine.append(time.perf_counter() - start)
-                    session.close()
-                if not np.array_equal(np.stack(out), expected[index]):
-                    raise AssertionError("served bytes differ")
-            except Exception as error:  # noqa: BLE001
-                with lock:
-                    failures.append(f"client {index}: {error!r}")
-                return
-            with lock:
-                latencies.extend(mine)
-
-        threads = [
-            threading.Thread(target=load_client, args=(index,))
-            for index in range(clients)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not failures, f"netserver bench failures: {failures}"
-        assert len(latencies) == clients * frames
-        return latencies
-
     fps_by_workers: dict[int, float] = {}
     for workers in worker_counts:
-        latencies_box: list[list[float]] = []
         with NetServer(
             compiled, workers=workers, queue_limit=64
         ) as server:
+            target = drills.net_target(server, 2)
+            # Worker spawn stays outside every timed region: this
+            # measures serving, not boot.
             stats = time_callable(
-                lambda: latencies_box.append(run_load(server)),
-                warmup=1,  # the warmup pass also runs the byte gate
-                repeats=2 if quick else 3,
+                lambda: _served(target, plan, expected),
+                warmup=1, repeats=2 if quick else 3,
             )
         result.add_timing(f"serve_{workers}w_wall", stats)
-        latencies = np.array(latencies_box[-1])
+        latencies = np.concatenate(plan.latencies)  # of the last pass
         total = clients * frames
         fps_by_workers[workers] = round(total / stats.median_s, 1)
         result.metrics[f"w{workers}_fps"] = fps_by_workers[workers]
-        result.metrics[f"w{workers}_p50_ms"] = round(
-            float(np.percentile(latencies, 50)) * 1e3, 3
-        )
-        result.metrics[f"w{workers}_p95_ms"] = round(
-            float(np.percentile(latencies, 95)) * 1e3, 3
-        )
-        result.metrics[f"w{workers}_p99_ms"] = round(
-            float(np.percentile(latencies, 99)) * 1e3, 3
-        )
+        for q in (50, 95, 99):
+            result.metrics[f"w{workers}_p{q}_ms"] = round(
+                float(np.percentile(latencies, q)) * 1e3, 3
+            )
     # Both keys on every box (the note is null when measurable), so the
     # key set `bench --compare` checks does not depend on the CPU count.
     (result.metrics["scaling_peak_vs_1w"],
@@ -681,10 +642,9 @@ def bench_netserver(quick: bool) -> BenchResult:
     # run before every timed pass here too.
     # ------------------------------------------------------------------
     def wire_pass(server: NetServer, protocol: int) -> tuple[list[float], float]:
-        tag = f"wire-{next(passes)}"
         latencies: list[float] = []
         with Client(*server.address, timeout=60, protocol=protocol) as client:
-            session = client.session(tag)
+            session = client.session("wire")
             out = []
             for frame in streams[0]:
                 start = time.perf_counter()
@@ -746,73 +706,42 @@ def bench_netserver(quick: bool) -> BenchResult:
     )
 
     # ------------------------------------------------------------------
-    # Restart cost (PR 8): SIGKILL the worker under a live pipelined
-    # stream and measure the supervisor's kill-to-replacement time
-    # (polling the parent-only health op) and the client-visible damage
-    # (in-flight requests failed retryable per kill).  The byte gate is
-    # the point: the stream that rode through the kill must still be
-    # byte-identical after reattach + journal replay.
+    # Restart cost: SIGKILL the worker at the soak's midpoint, under a
+    # live pipelined stream (the AsrPlan's second half), and measure the
+    # supervisor's kill-to-replacement time (polling the parent-only
+    # health op) and the client-visible damage (in-flight requests
+    # failed retryable per kill).  The byte gate is the point: the
+    # stream that rode through the kill must still be byte-identical
+    # after reattach + journal replay.
     # ------------------------------------------------------------------
-    import os
-    import signal
-
     restart_repeats = 2 if quick else 4
-    reps = 10 if quick else 16
-    restart_stream = np.tile(streams[0], (reps, 1))
-    restart_expected = compiled.session().run(
-        restart_stream[:, None, :]
-    )[:, 0]
+    restart_plan = drills.AsrPlan(compiled, 1, (10 if quick else 16) * frames,
+                                  seed=1)
+    restart_expected = restart_plan.baseline()
     restart_times: list[float] = []
     failed_per_kill: list[float] = []
     for _ in range(restart_repeats):
         with NetServer(compiled, workers=1) as server:
-            with Client(*server.address, timeout=60) as client:
-                session = client.session(f"restart-{next(passes)}")
-                runner_out: list[np.ndarray] = []
-                runner_error: list[BaseException] = []
 
-                def runner() -> None:
-                    try:
-                        runner_out.append(
-                            session.run(restart_stream, window=8)
-                        )
-                    except BaseException as error:  # noqa: BLE001
-                        runner_error.append(error)
-
-                thread = threading.Thread(target=runner)
-                thread.start()
-                time.sleep(0.03)  # let the pipeline get airborne
+            def restart() -> None:
                 killed_at = time.perf_counter()
                 os.kill(server._procs[0].pid, signal.SIGKILL)
                 # health is answered by the parent alone, so polling it
                 # during the outage is exactly what an operator would do.
-                with Client(*server.address, timeout=60) as probe:
-                    while True:
-                        health = probe.health()
-                        if (health["restarts_total"] >= 1
-                                and health["workers"][0]["state"] == "up"):
-                            restart_times.append(
-                                time.perf_counter() - killed_at
-                            )
-                            break
-                        if time.perf_counter() - killed_at > 60:
-                            raise AssertionError(
-                                "worker was not replaced within 60s"
-                            )
-                        time.sleep(0.002)
-                    failed_per_kill.append(
-                        float(health["retryable_errors_total"])
-                    )
-                thread.join(timeout=120)
-                assert not thread.is_alive(), "restart bench stream hung"
-                assert not runner_error, (
-                    f"restart bench stream failed: {runner_error[0]!r}"
+                health = _poll(
+                    server.address, "health",
+                    lambda h: (h["restarts_total"] >= 1
+                               and h["workers"][0]["state"] == "up"),
+                    "worker was not replaced",
                 )
-                if not np.array_equal(runner_out[0], restart_expected):
-                    raise AssertionError(
-                        "bytes differ after supervised restart"
-                    )
-                session.close()
+                restart_times.append(time.perf_counter() - killed_at)
+                failed_per_kill.append(float(health["retryable_errors_total"]))
+
+            soaked = _served(drills.net_target(server, 2), restart_plan,
+                             restart_expected, restart)
+            if not sum(soaked.recoveries):
+                raise AssertionError("a worker was SIGKILLed mid-stream but "
+                                     "the stream never recovered")
     result.metrics["restart_p50_ms"] = round(
         float(np.percentile(restart_times, 50)) * 1e3, 1
     )
@@ -822,10 +751,12 @@ def bench_netserver(quick: bool) -> BenchResult:
     result.metrics["restart_note"] = (
         "restart_p50_ms is SIGKILL-to-replacement (sentinel detection + "
         "respawn + artifact load + ring resync) observed via the health "
-        "op; requests_failed_per_kill counts the in-flight requests the "
-        "supervisor failed with retryable frames per kill (the client "
-        "reattached, replayed its journal, and the stream stayed "
-        "byte-identical — asserted every repeat)"
+        "op, the kill fired at the soak's midpoint as the stream's "
+        "pipelined second half starts; requests_failed_per_kill counts "
+        "the in-flight requests the supervisor failed with retryable "
+        "frames per kill (the client reattached, replayed its journal, "
+        "and the stream stayed byte-identical — both asserted every "
+        "repeat)"
     )
     return result
 
@@ -869,25 +800,27 @@ def bench_gateway(quick: bool) -> BenchResult:
       is the per-push p50 difference.  The gateway forwards frames
       verbatim (no re-encode), so the hop should cost socket + event-loop
       time, not serialization.
-    * **what does losing a node cost?** — one whole backend process is
-      SIGKILLed under live reattaching streams; ``down_mark_p50_ms``
-      measures kill-to-detection (unexpected-EOF signal, not probe
-      timeout), and every stream that rode through the kill is asserted
-      byte-identical after journal replay — the same gate the netserver
-      suite pins one layer down.
+    * **what does losing a node cost?** — at the soak's midpoint the
+      backend holding the most sessions is SIGKILLed
+      (:class:`~repro.runtime.drills.BackendKill`) under live reattaching
+      streams; ``down_mark_p50_ms`` measures kill-to-detection
+      (unexpected-EOF signal, not probe timeout).  Every repeat must
+      recover at least one session, and every stream that rode through
+      the kill is asserted byte-identical after journal replay — the
+      same gate the netserver suite pins one layer down.
 
-    Byte gates run before every timed region: each pass's served logits
-    must equal standalone sessions, so a fast number can never come from
-    wrong bytes.
+    Both loads are a :func:`repro.runtime.drills.soak` of one
+    :class:`~repro.runtime.drills.PushPlan`, byte-gated every pass: each
+    pass's served logits must equal standalone runs, so a fast number
+    can never come from wrong bytes.
     """
-    import threading
     import time
 
     from repro.config import RNNSpec
     from repro.nn.rnn import StackedRNNClassifier
-    from repro.runtime import compile as compile_model
+    from repro.runtime import compile as compile_model, drills
     from repro.runtime.cluster import BackendFleet, Gateway
-    from repro.runtime.net import Client, NetServer
+    from repro.runtime.net import NetServer
 
     if quick:
         clients, frames, repeats, kill_repeats = 4, 12, 2, 2
@@ -901,12 +834,8 @@ def bench_gateway(quick: bool) -> BenchResult:
         spec, structured=True, rng=np.random.default_rng(0)
     )
     compiled = compile_model(model, backend="fixed", weight_bits=12)
-    streams = np.random.default_rng(2).standard_normal(
-        (clients, frames, spec.input_size)
-    )
-    expected = [
-        compiled.session().run(stream[:, None, :])[:, 0] for stream in streams
-    ]
+    plan = drills.PushPlan(compiled, clients, frames, seed=2)
+    expected = plan.baseline()
 
     result = BenchResult(
         "gateway",
@@ -916,8 +845,9 @@ def bench_gateway(quick: bool) -> BenchResult:
             f"{frames} blocking pushes, served direct (1 NetServer) vs "
             "through a consistent-hash gateway fronting 2 backends (1 "
             "worker each); every pass byte-gated against standalone "
-            "sessions.  The kill drill SIGKILLs a whole backend under "
-            "reattaching streams and times the gateway's death detection"
+            "sessions.  The kill drill SIGKILLs the backend holding the "
+            "most sessions at the soak's midpoint, under reattaching "
+            "streams, and times the gateway's death detection"
         ),
         metrics={
             "clients": clients,
@@ -927,82 +857,28 @@ def bench_gateway(quick: bool) -> BenchResult:
         },
     )
 
-    passes = iter(range(1_000_000))
-
-    def load_pass(address, reattach=False):
-        """One blocking per-frame load against ``address``; returns
-        (per-push latencies, sessions that recovered).  Byte-gated."""
-        tag = next(passes)
-        latencies: list[float] = []
-        failures: list[str] = []
-        recoveries = [0] * clients
-        lock = threading.Lock()
-
-        def load_client(index: int) -> None:
-            mine: list[float] = []
-            try:
-                with Client(*address, timeout=60) as client:
-                    if reattach:
-                        session = client.session(
-                            f"gwb-{tag}-{index}", reattach=True
-                        )
-                    else:
-                        session = client.session(f"gwb-{tag}-{index}")
-                    out = []
-                    for frame in streams[index]:
-                        start = time.perf_counter()
-                        out.append(session.push(frame))
-                        mine.append(time.perf_counter() - start)
-                    recoveries[index] = getattr(session, "recoveries", 0)
-                    session.close()
-                if not np.array_equal(np.stack(out), expected[index]):
-                    raise AssertionError("served bytes differ")
-            except Exception as error:  # noqa: BLE001
-                with lock:
-                    failures.append(f"client {index}: {error!r}")
-                return
-            with lock:
-                latencies.extend(mine)
-
-        threads = [
-            threading.Thread(target=load_client, args=(index,))
-            for index in range(clients)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not failures, f"gateway bench failures: {failures}"
-        assert len(latencies) == clients * frames
-        return latencies, sum(recoveries)
+    def timed_load(label: str, target) -> float:
+        """Time the byte-gated load; returns the last pass's p50 push."""
+        result.add_timing(f"{label}_wall", time_callable(
+            lambda: _served(target, plan, expected),
+            warmup=1, repeats=repeats,
+        ))
+        return round(float(np.median(np.concatenate(plan.latencies))) * 1e6,
+                     1)
 
     # Direct baseline: the fleet's own serving stack, no hop.
-    lat_box: list[list[float]] = []
     with NetServer(compiled, workers=1, queue_limit=64) as server:
-        stats = time_callable(
-            lambda: lat_box.append(load_pass(server.address)[0]),
-            warmup=1,  # the warmup pass also runs the byte gate
-            repeats=repeats,
+        result.metrics["direct_p50_us"] = timed_load(
+            "direct", drills.net_target(server, 2)
         )
-    result.add_timing("direct_wall", stats)
-    result.metrics["direct_p50_us"] = round(
-        float(np.percentile(lat_box[-1], 50)) * 1e6, 1
-    )
-
     # The same load through the gateway.
     with BackendFleet(compiled, count=2, queue_limit=64) as fleet:
         with Gateway(fleet.keys) as gw:
-            stats = time_callable(
-                lambda: lat_box.append(load_pass(gw.address)[0]),
-                warmup=1,
-                repeats=repeats,
+            result.metrics["gateway_p50_us"] = timed_load(
+                "gateway", drills.gateway_target(gw, 2)
             )
-    result.add_timing("gateway_wall", stats)
-    result.metrics["gateway_p50_us"] = round(
-        float(np.percentile(lat_box[-1], 50)) * 1e6, 1
-    )
     result.metrics["gateway_fps"] = round(
-        clients * frames / stats.median_s, 1
+        clients * frames / result.timings["gateway_wall"].median_s, 1
     )
     (result.metrics["added_hop_p50_us"],
      result.metrics["added_hop_note"]) = _added_hop(
@@ -1012,9 +888,10 @@ def bench_gateway(quick: bool) -> BenchResult:
     )
 
     # ------------------------------------------------------------------
-    # Kill-under-load: SIGKILL one whole backend beneath reattaching
-    # streams.  down_mark measures the gateway noticing (forwarding-link
-    # EOF, not probe misses); the byte gate inside load_pass is the
+    # Kill-under-load: at the soak's midpoint, SIGKILL the whole backend
+    # holding the most sessions.  down_mark measures the gateway noticing
+    # (forwarding-link EOF, not probe misses); the byte gate and
+    # BackendKill's evidence check (node down, recoveries > 0) are the
     # recovery proof.
     # ------------------------------------------------------------------
     down_marks: list[float] = []
@@ -1023,39 +900,24 @@ def bench_gateway(quick: bool) -> BenchResult:
         with BackendFleet(compiled, count=2, queue_limit=64) as fleet:
             with Gateway(fleet.keys, probe_interval_s=0.1,
                          down_after=2) as gw:
-                box: dict = {}
+                kill = drills.BackendKill(gw, fleet)
 
-                def soak() -> None:
-                    box["lat"], box["rec"] = load_pass(
-                        gw.address, reattach=True
-                    )
+                def disrupt() -> None:
+                    kill.fire()
+                    killed_at = time.perf_counter()
+                    _poll(gw.address, "cluster_health",
+                          lambda h: {b["backend"]: b["state"]
+                                     for b in h["backends"]}[kill.node]
+                          == "down",
+                          "the gateway never marked the killed backend down")
+                    down_marks.append(time.perf_counter() - killed_at)
 
-                thread = threading.Thread(target=soak)
-                thread.start()
-                time.sleep(0.05)  # let the streams get airborne
-                killed_at = time.perf_counter()
-                fleet.kill(0)
-                with Client(*gw.address, timeout=60) as probe:
-                    while True:
-                        states = {
-                            b["backend"]: b["state"]
-                            for b in probe.cluster_health()["backends"]
-                        }
-                        if states[fleet.keys[0]] == "down":
-                            down_marks.append(
-                                time.perf_counter() - killed_at
-                            )
-                            break
-                        if time.perf_counter() - killed_at > 60:
-                            raise AssertionError(
-                                "gateway never marked the killed "
-                                "backend down"
-                            )
-                        time.sleep(0.002)
-                thread.join(timeout=120)
-                assert not thread.is_alive(), "kill drill soak hung"
-                assert "lat" in box, "kill drill load pass failed"
-                recovered.append(box["rec"])
+                soaked = _served(drills.gateway_target(gw, 2), plan,
+                                 expected, disrupt)
+                failure = kill.verify(soaked, plan.workload)
+                if failure is not None:
+                    raise AssertionError(failure)
+                recovered.append(sum(soaked.recoveries))
     result.metrics["down_mark_p50_ms"] = round(
         float(np.percentile(down_marks, 50)) * 1e3, 1
     )
@@ -1064,16 +926,34 @@ def bench_gateway(quick: bool) -> BenchResult:
     )
     result.metrics["failover_note"] = (
         "down_mark_p50_ms is SIGKILL-to-down-mark (the forwarding link's "
-        "EOF is the death signal; the 0.1s prober is the fallback); "
-        "recoveries_mean counts sessions that reattached and replayed "
-        "per kill — every soak's streams asserted byte-identical after "
-        "the failover, and a kill landing after a short soak finishes "
-        "legitimately recovers zero"
+        "EOF is the death signal; the 0.1s prober is the fallback), the "
+        "kill fired at the soak's midpoint on the backend holding the "
+        "most sessions; recoveries_mean counts sessions that reattached "
+        "and replayed per kill — at least one in every repeat and every "
+        "soak's streams byte-identical after the failover, both asserted"
     )
     return result
 
 
 # ----------------------------------------------------------------------
+class _GeneratePlan:
+    """A soak plan: one seeded generation from ``prompt`` per session, all
+    before the midpoint, so a pass times generation alone."""
+
+    prefix, unit = "bench", "generation session"
+    same = staticmethod(operator.eq)
+
+    def __init__(self, prompt: list, steps: int, sessions: int):
+        self.prompt, self.steps, self.sessions = prompt, steps, sessions
+
+    def first(self, session, index: int) -> list:
+        return session.generate(self.prompt, steps=self.steps,
+                                temperature=0.8, top_k=5, seed=1000 + index)
+
+    def second(self, session, index: int, tokens: list) -> list:
+        return tokens
+
+
 @register("rnnlm_generate")
 def bench_rnnlm_generate(quick: bool) -> BenchResult:
     """Seeded char-LM generation throughput: batch coalescing, float vs fixed.
@@ -1090,13 +970,13 @@ def bench_rnnlm_generate(quick: bool) -> BenchResult:
     products), measurable on any CPU count; cross-machine ratios are
     still refused by ``bench --compare``'s environment check.
 
-    Byte gates before timing: seeded generation must reproduce itself on
-    a serial re-run, and every served session's tokens must equal an
-    in-process :class:`~repro.runtime.Session` with the same seed — a
-    fast sampler that sampled different tokens is a bug, not a result.
+    Each pass is a :func:`repro.runtime.drills.soak` of one generation
+    per session.  Byte gates, before timing and on every pass: seeded
+    generation must reproduce itself on a serial re-run, and every served
+    session's tokens must equal an in-process
+    :class:`~repro.runtime.Session` with the same seed — a fast sampler
+    that sampled different tokens is a bug, not a result.
     """
-    import threading
-
     from repro.lm import (
         DEMO_TEXT,
         CharVocab,
@@ -1104,7 +984,7 @@ def bench_rnnlm_generate(quick: bool) -> BenchResult:
         build_char_lm,
         train_char_lm,
     )
-    from repro.runtime import Session, compile as compile_model
+    from repro.runtime import Session, compile as compile_model, drills
 
     if quick:  # every batch width, so the metric keys match a full run
         batches, steps, epochs, repeats = (1, 4, 16), 24, 1, 2
@@ -1151,48 +1031,21 @@ def bench_rnnlm_generate(quick: bool) -> BenchResult:
             model, backend=backend, weight_bits=12,
             workload="lm", vocab=vocab,
         )
-        baseline = [
-            Session(compiled).generate(
-                prompt, steps=steps, temperature=0.8, top_k=5, seed=1000 + i
-            )
-            for i in range(widest)
-        ]
-        rerun = Session(compiled).generate(
-            prompt, steps=steps, temperature=0.8, top_k=5, seed=1000
+        plans = {width: _GeneratePlan(prompt, steps, width)
+                 for width in batches}
+        expected = [plans[widest].first(Session(compiled), index)
+                    for index in range(widest)]
+        assert plans[widest].first(Session(compiled), 0) == expected[0], (
+            "seeded generation not reproducible"
         )
-        assert rerun == baseline[0], "seeded generation not reproducible"
 
         with compiled.serve(max_batch=widest, max_delay_s=0.002) as server:
-
-            def serve_pass(width: int, check: bool = False) -> None:
-                failures: list[int] = []
-
-                def generator(index: int) -> None:
-                    with server.session() as session:
-                        out = session.generate(
-                            prompt, steps=steps,
-                            temperature=0.8, top_k=5, seed=1000 + index,
-                        )
-                    if check and out != baseline[index]:
-                        failures.append(index)
-
-                threads = [
-                    threading.Thread(target=generator, args=(index,))
-                    for index in range(width)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-                assert not failures, (
-                    f"served tokens differ from in-process sessions: "
-                    f"{failures}"
-                )
-
-            serve_pass(widest, check=True)  # byte gate, end to end
+            target = drills.in_process_target(server)
+            _served(target, plans[widest], expected)  # byte gate, end to end
             for width in batches:
                 stats = time_callable(
-                    lambda: serve_pass(width), warmup=1, repeats=repeats
+                    lambda: _served(target, plans[width], expected),
+                    warmup=1, repeats=repeats,
                 )
                 result.add_timing(f"{backend}_b{width}_generate", stats)
                 tps = width * steps / stats.median_s

@@ -12,10 +12,11 @@ even when a disruption lands mid-soak.  Three parts:
 * :func:`soak` — the one loop.  Every client runs its plan's first half,
   waits at a midpoint barrier (aborted when a client errors) where the
   disruptions fire, then runs the second half.
-* one plan per workload — :class:`AsrPlan` pushes the first half of a
-  seeded stream frame by frame and runs the rest pipelined with
-  ``run(window=8)``; :class:`LmPlan` runs generate → score → generate.
-  A plan owns its conformance probe and its in-process baseline.
+* one plan per workload — :class:`PushPlan` pushes a seeded stream
+  frame by frame and times every push; :class:`AsrPlan` is the same with
+  its second half pipelined through ``run(window=8)``; :class:`LmPlan`
+  runs generate → score → generate.  A plan owns its conformance probe
+  and its in-process baseline.
 * one evidence check per disruption — :class:`WorkerFaults` (armed
   ``--fault`` specs), :class:`BackendKill`, :class:`Drain` — proving the
   disruption happened, so a drill cannot pass by never being disrupted.
@@ -23,7 +24,9 @@ even when a disruption lands mid-soak.  Three parts:
 :func:`run_drill` strings them together, prints the success lines or one
 ``SELFTEST FAILED`` line on stderr, and returns the exit code.  ``repro
 serve --selftest`` and ``repro gateway --selftest`` are its front-ends;
-``docs/runtime.md`` (§CLI) tables what each drill asserts.
+``docs/runtime.md`` (§CLI) tables what each drill asserts.  The serving
+suites of ``repro bench`` drive the same :func:`soak` and gate with
+:func:`mismatches`.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ from repro import runtime
 from repro.runtime.net import Client
 
 __all__ = [
-    "AsrPlan", "BackendKill", "Drain", "LmPlan", "Soak", "Target",
-    "WorkerFaults", "gateway_target", "in_process_target",
-    "lm_fixture_artifact", "net_target", "run_drill", "soak",
+    "AsrPlan", "BackendKill", "Drain", "LmPlan", "PushPlan", "Soak",
+    "Target", "WorkerFaults", "gateway_target", "in_process_target",
+    "lm_fixture_artifact", "mismatches", "net_target", "run_drill", "soak",
 ]
 
 
@@ -124,17 +127,21 @@ def soak(target: Target, plan: Any,
         midpoint.wait()
     except threading.BrokenBarrierError:
         pass
-    if disrupt is not None and not errors:
-        disrupt()
-    for thread in threads:
-        thread.join()
+    try:
+        if disrupt is not None and not errors:
+            disrupt()
+    finally:
+        for thread in threads:
+            thread.join()
     return Soak(outputs, recoveries, errors, time.perf_counter() - start)
 
 
-class AsrPlan:
-    """One seeded synthetic feature stream per session."""
+class PushPlan:
+    """One seeded synthetic feature stream per session, every frame pushed
+    blocking and timed: client ``i``'s per-push seconds of the latest soak
+    land in ``latencies[i]`` (the bench suites' latency percentiles)."""
 
-    workload, prefix, unit = "asr", "selftest", "stream"
+    workload, prefix, unit = "asr", "push", "stream"
 
     def __init__(self, compiled: Any, sessions: int, frames: int,
                  seed: int = 0):
@@ -144,6 +151,7 @@ class AsrPlan:
             (sessions, frames, compiled.input_size)
         )
         self.half = frames // 2
+        self.latencies: list[list[float]] = [[] for _ in range(sessions)]
 
     def conform(self) -> None:
         runtime.check_conformance(
@@ -154,16 +162,22 @@ class AsrPlan:
     def baseline(self) -> list:
         return [self.compiled.run(s[:, None, :])[:, 0] for s in self.streams]
 
+    def _push(self, session: Any, index: int, frames: np.ndarray) -> list:
+        timed = self.latencies[index]
+        rows = []
+        for frame in frames:
+            start = time.perf_counter()
+            rows.append(session.push(frame))
+            timed.append(time.perf_counter() - start)
+        return rows
+
     def first(self, session: Any, index: int) -> list:
-        return [session.push(f) for f in self.streams[index][:self.half]]
+        self.latencies[index] = []
+        return self._push(session, index, self.streams[index][:self.half])
 
     def second(self, session: Any, index: int, rows: list) -> np.ndarray:
         rest = self.streams[index][self.half:]
-        if hasattr(session, "run"):  # the in-process ServerSession has none
-            tail = session.run(rest, window=8)
-        else:
-            tail = [session.push(frame) for frame in rest]
-        return np.vstack([*rows, *tail])
+        return np.vstack([*rows, *self._push(session, index, rest)])
 
     same = staticmethod(np.array_equal)
 
@@ -173,6 +187,20 @@ class AsrPlan:
         return (f"served {total} frames to {self.sessions} {target.clients} "
                 f"in {result.elapsed * 1e3:.1f} ms "
                 f"({total / result.elapsed:,.0f} frames/s{wire})")
+
+
+class AsrPlan(PushPlan):
+    """:class:`PushPlan` with its second half pipelined: ``run(window=8)``
+    over the wire (the in-process ``ServerSession`` has no ``run`` and
+    pushes it)."""
+
+    prefix = "selftest"
+
+    def second(self, session: Any, index: int, rows: list) -> np.ndarray:
+        if not hasattr(session, "run"):
+            return super().second(session, index, rows)
+        tail = session.run(self.streams[index][self.half:], window=8)
+        return np.vstack([*rows, *tail])
 
 
 def lm_fixture_artifact(backend: str, bits: int) -> tuple[Any, Any]:
@@ -392,6 +420,13 @@ _OK = {
 }
 
 
+def mismatches(plan: Any, result: Soak, expected: Sequence) -> list[int]:
+    """The clients whose served output differs from ``expected``."""
+    return [index for index, (served, want)
+            in enumerate(zip(result.outputs, expected))
+            if not plan.same(served, want)]
+
+
 def _failed(message: str) -> int:
     print(f"SELFTEST FAILED: {message}", file=sys.stderr)
     return 1
@@ -426,9 +461,7 @@ def run_drill(target: Target, plan: Any, evidence: Sequence[Any] = (),
     if result.errors:
         return _failed("client error(s): " + "; ".join(result.errors))
     if expected is not None:
-        bad = [index for index, (served, want)
-               in enumerate(zip(result.outputs, expected))
-               if not plan.same(served, want)]
+        bad = mismatches(plan, result, expected)
         if bad:
             return _failed(
                 _MISMATCH[target.kind, plan.workload].format(bad=bad)

@@ -35,9 +35,12 @@ request still occupies a ring slot (flagged ``external``) so
 per-session FIFO order is preserved across both paths.
 
 Lifecycle: the parent creates and later unlinks the segment; workers
-attach by name and must *unregister* their attachment from Python's
-``resource_tracker`` (3.9+ tracks attachments too, and would otherwise
-destroy the segment when the first worker exits).
+attach by name and leave their attachment registered with Python's
+``resource_tracker``.  Spawn children share the parent's tracker, whose
+cache is a set, so the attachment collapses into the parent's
+registration and the parent's one ``unlink`` balances both (see
+:meth:`RingPair.attach`).  A worker orphaned by a SIGKILLed parent
+unlinks the segment itself before it exits.
 """
 
 from __future__ import annotations

@@ -95,7 +95,7 @@ _OP_NAMES = {OP_OPEN: "open", OP_PUSH: "push", OP_PUSH_MANY: "push_many",
              OP_GENERATE: "generate", OP_SCORE: "score"}
 
 
-def _watch_parent() -> None:
+def _watch_parent(shm_name: str) -> None:
     """Die with the parent: a SIGKILLed NetServer must not leave workers.
 
     The request queue cannot signal parent death — this process holds
@@ -106,13 +106,23 @@ def _watch_parent() -> None:
     gone).  Without this, every crashed-host drill in the cluster tier
     (gateway failover tests, ``BackendFleet.kill``) would orphan one
     worker per kill.
+
+    A parent that died without closing left our ring segment behind, so
+    the orphan unlinks it first; ``unlink`` also unregisters it from the
+    resource tracker this process shares with its ancestors, which
+    would otherwise report it leaked at exit.
     """
     import multiprocessing as mp
+    from multiprocessing import shared_memory
 
     parent = mp.parent_process()
     if parent is None:  # directly invoked, not spawned: nothing to watch
         return
     parent.join()
+    try:
+        shared_memory.SharedMemory(name=shm_name).unlink()
+    except FileNotFoundError:  # the parent closed cleanly and unlinked it
+        pass
     os._exit(2)
 
 
@@ -777,8 +787,8 @@ def worker_main(
     except (ValueError, OSError):
         pass
 
-    threading.Thread(target=_watch_parent, name="parent-watch",
-                     daemon=True).start()
+    threading.Thread(target=_watch_parent, args=(shm_name,),
+                     name="parent-watch", daemon=True).start()
 
     try:
         from repro.runtime.model import CompiledModel

@@ -143,13 +143,14 @@ class TestCpuGatedKeysAreStable:
     ``repro bench --compare`` counts a vanished key as a dropped probe, so
     a note key written only on small boxes made a fresh 2-CPU run of the
     gateway suite fail against the committed 1-CPU artifact.  The
-    committed ``BENCH_gateway.json`` (1 CPU) and ``BENCH_netserver.json``
-    (2 CPUs, under 4 workers) were both recorded below their suite's CPU
-    gate; a quick run that believes it has 8 CPUs must write exactly their
-    metric keys.
+    committed ``BENCH_netserver.json`` (2 CPUs, under 4 workers) was
+    recorded below its suite's CPU gate; a quick run that believes it has
+    8 CPUs must write exactly the committed metric keys of every serving
+    suite, gated or not.
     """
 
-    @pytest.mark.parametrize("suite", ["gateway", "netserver"])
+    @pytest.mark.parametrize("suite", ["gateway", "netserver",
+                                       "runtime_session", "rnnlm_generate"])
     def test_eight_cpu_run_writes_the_committed_keys(self, suite,
                                                      monkeypatch):
         from pathlib import Path
@@ -170,3 +171,22 @@ class TestCpuGatedKeysAreStable:
         assert _added_hop(8, 900.0, 1000.0) == (100.0, None)
         hop, note = _added_hop(1, 900.0, 1000.0)
         assert hop is None and "1 CPU(s)" in note and "re-record" in note
+
+
+class TestServedGateTrips:
+    """A serving suite's byte gate raises when a served output differs."""
+
+    def test_perturbed_baseline_raises(self, monkeypatch):
+        from repro.runtime import drills
+
+        baseline = drills.PushPlan.baseline
+
+        def perturbed(plan):
+            expected = baseline(plan)
+            expected[1] = expected[1] + 1e-3
+            return expected
+
+        monkeypatch.setattr(drills.PushPlan, "baseline", perturbed)
+        with pytest.raises(AssertionError,
+                           match=r"differ from the baseline on stream\(s\) \[1\]"):
+            run_benchmarks(["runtime_session"], quick=True)

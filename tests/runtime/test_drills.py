@@ -105,6 +105,42 @@ def test_kill_takes_a_loaded_node_and_the_drain_another(asr, capsys):
     assert drain.node not in (None, kill.node)
 
 
+@pytest.mark.parametrize("where", ["in-process", "net"])
+def test_push_plan_times_every_push(asr, where):
+    plan = drills.PushPlan(asr, SESSIONS, FRAMES)
+    with ExitStack() as stack:
+        if where == "net":
+            server = stack.enter_context(NetServer(asr, workers=2))
+            target = drills.net_target(server, 2)
+        else:
+            server = stack.enter_context(asr.serve(max_batch=SESSIONS))
+            target = drills.in_process_target(server)
+        for _ in range(2):  # each soak starts the clients' lists afresh
+            result = drills.soak(target, plan)
+            assert not result.errors
+            assert [len(timed) for timed in plan.latencies] == (
+                [FRAMES] * SESSIONS
+            )
+            assert min(min(timed) for timed in plan.latencies) > 0
+            assert drills.mismatches(plan, result, plan.baseline()) == []
+
+
+def test_a_client_error_names_its_client_and_skips_the_disruption(asr):
+    class Failing(drills.PushPlan):
+        def first(self, session, index):
+            if index == 2:
+                raise RuntimeError("boom")
+            return super().first(session, index)
+
+    fired = []
+    with asr.serve(max_batch=SESSIONS) as server:
+        result = drills.soak(drills.in_process_target(server),
+                             Failing(asr, SESSIONS, FRAMES),
+                             lambda: fired.append(True))
+    assert result.errors[0] == "stream 2: boom"
+    assert not fired
+
+
 class TestGateTrips:
     SPEC_ARGS = ["serve", "--layers", "32", "--block", "4",
                  "--sessions", "2", "--frames", "6", "--selftest"]

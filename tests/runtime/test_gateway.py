@@ -17,6 +17,9 @@ layer up:
   stock :class:`Client`.
 """
 
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -43,6 +46,14 @@ def _streams(count, frames, seed=11):
     rng = np.random.default_rng(seed)
     return [rng.standard_normal((frames, SPEC.input_size))
             for _ in range(count)]
+
+
+SHM = Path("/dev/shm")
+
+
+def _segments():
+    """The POSIX shared-memory segments ``SharedMemory`` named."""
+    return {path.name for path in SHM.glob("psm_*")}
 
 
 def _standalone(compiled, stream):
@@ -218,6 +229,21 @@ class TestFailover:
                 for sess in sessions:
                     sess.close()
                 client.close()
+
+    @pytest.mark.skipif(not SHM.is_dir(), reason="no /dev/shm to count")
+    def test_sigkilled_backend_leaves_no_ring_segment(self, compiled):
+        """The killed backend cannot unlink its workers' ring segments;
+        each orphaned worker does it before exiting, so the segments a
+        backend created are gone within a few seconds of its SIGKILL."""
+        before = _segments()
+        with BackendFleet(compiled, count=1) as fleet:
+            created = _segments() - before
+            assert created, "the backend's worker created no ring segment"
+            fleet.kill(0)
+            deadline = time.monotonic() + 10
+            while _segments() & created and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _segments() & created
 
 
 class TestRollingDrain:
