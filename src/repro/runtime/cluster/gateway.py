@@ -31,6 +31,10 @@ Failure model — built on the PR 8 reattach contract:
   — which triggers exactly the reattach replay above — and once the
   backend reports zero sessions it is removed from the ring.
 
+The gateway is a policy on the front it shares with NetServer
+(:mod:`repro.runtime.net.front`): request reading, the JSON preamble,
+the loop thread and the event journal are that module's.
+
 The gateway's own control plane (``cluster_health``, ``cluster_drain``,
 ``cluster_undrain``, ``cluster_add``) rides the same NDJSON framing as
 every other op, so :class:`~repro.runtime.net.client.Client` drives it
@@ -46,36 +50,34 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
-import struct
-import sys
-import threading
-import time
 from collections import Counter
 from typing import Any, Iterable
 
 from repro.errors import ConfigError
 from repro.runtime.cluster.hashring import DEFAULT_VNODES, HashRing
+from repro.runtime.net.front import (
+    BinaryFrame,
+    FrameReader,
+    Front,
+    Journal,
+    read_binary_frame,
+)
 from repro.runtime.net.protocol import (
     BIN_MAGIC,
-    BIN_PREFIX,
+    BIN_REQUEST_NAMES,
     CLUSTER_OPS,
-    MAX_BIN_NDIM,
-    MAX_BIN_SESSION,
     MAX_FRAME_BYTES,
     MAX_LINE_BYTES,
     OPS,
     SESSION_OPS,
+    FramingError,
     NetError,
     dump_line,
     error_reply,
     parse_line,
 )
-from repro.runtime.net.server import _FrameReader, _LineTooLong
 
 __all__ = ["Gateway", "backend_key"]
-
-#: Ops the gateway answers itself (no backend round trip).
-_GATEWAY_OPS = frozenset({"ping", "health"}) | set(CLUSTER_OPS)
 
 #: Ops fanned out to every reachable backend over the admin connections.
 _FANOUT_OPS = frozenset({"stats", "sessions"})
@@ -106,7 +108,7 @@ class _Backend:
     """One backend's gateway-side record (event-loop thread)."""
 
     __slots__ = ("key", "host", "port", "state", "hello", "misses",
-                 "reader", "writer", "frames", "admin_lock", "prober",
+                 "writer", "frames", "admin_lock", "prober",
                  "drain_task", "remaining", "last_health")
 
     def __init__(self, key: str):
@@ -117,9 +119,8 @@ class _Backend:
         self.state = "up"  # up | down | draining | removed
         self.hello: dict = {}
         self.misses = 0
-        self.reader = None       # admin connection (prober + fan-outs)
-        self.writer = None
-        self.frames: _FrameReader | None = None
+        self.writer = None       # admin connection (prober + fan-outs)
+        self.frames: FrameReader | None = None
         self.admin_lock: asyncio.Lock | None = None
         self.prober: asyncio.Task | None = None
         self.drain_task: asyncio.Task | None = None
@@ -134,15 +135,14 @@ class _Backend:
 class _Upstream:
     """One lazily dialed (client connection, backend) forwarding link."""
 
-    __slots__ = ("key", "reader", "writer", "frames", "pending", "pump",
-                 "gone", "binary")
+    __slots__ = ("key", "writer", "frames", "pending", "pump", "gone",
+                 "binary")
 
     def __init__(self, key: str, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter):
         self.key = key
-        self.reader = reader
         self.writer = writer
-        self.frames = _FrameReader(reader)
+        self.frames = FrameReader(reader)
         self.pending: dict[Any, tuple[str, str]] = {}  # rid -> (op, session)
         self.pump: asyncio.Task | None = None
         self.gone = False
@@ -160,7 +160,7 @@ class _ClientConn:
         self.upstreams: dict[str, _Upstream] = {}
 
 
-class Gateway:
+class Gateway(Front):
     """Front N NetServer backends behind one consistent-hash TCP endpoint.
 
     ``backends`` are ``"host:port"`` specs (or ``(host, port)`` pairs) of
@@ -179,6 +179,12 @@ class Gateway:
     reply reports progress instead of completion (the drain keeps
     running in the background either way).
     """
+
+    _kind = "gateway"
+    _thread_name = "repro-gateway"
+    _start_timeout_s = 60.0
+    _ops = OPS + CLUSTER_OPS
+    _conn_type = _ClientConn
 
     def __init__(
         self,
@@ -203,9 +209,8 @@ class Gateway:
             raise ConfigError("probe interval/timeout must be positive")
         if down_after < 1:
             raise ConfigError(f"down_after must be >= 1, got {down_after}")
+        super().__init__(host, port, Journal("repro.cluster"))
         self._backend_keys = keys
-        self._host = host
-        self._port = port
         self._vnodes = vnodes
         self._probe_interval_s = probe_interval_s
         self._probe_timeout_s = probe_timeout_s
@@ -214,142 +219,19 @@ class Gateway:
         self._drain_poll_s = drain_poll_s
         self._drain_timeout_s = drain_timeout_s
 
-        # Event-loop-thread state (no locks: the loop owns all of it,
-        # exactly like NetServer's connection state).
+        # Event-loop-thread state (no locks: the loop owns all of it).
         self._backends: dict[str, _Backend] = {}
         self._removed: list[str] = []
         self._ring = HashRing(vnodes=vnodes)
         self._placements: dict[str, str] = {}  # session -> backend key
-        self._conns: dict[int, _ClientConn] = {}
-        self._conn_ids = itertools.count(1)
         self._admin_ids = itertools.count(1)
-        self._tasks: set[asyncio.Task] = set()
         self._hello_meta: dict = {}
         self.retryable_errors_total = 0
 
-        self._events: list[dict] = []  # guarded-by: _events_lock
-        self._events_lock = threading.Lock()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._loop_thread: threading.Thread | None = None
-        self._stop_async: asyncio.Event | None = None
-        self._stop_serving = threading.Event()
-        self._started = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._lifecycle = threading.Lock()
-        self._state = "new"  # guarded-by: _lifecycle (new -> started -> closed)
-        self._closing = False
-
     # ------------------------------------------------------------------
-    @property
-    def address(self) -> tuple[str, int]:
-        """``(host, port)`` actually bound (resolves ``port=0``)."""
-        return self._host, self._port
-
-    @property
-    def port(self) -> int:
-        return self._port
-
-    @property
-    def events(self) -> list[dict]:
-        """Snapshot of the gateway journal (downs, drains, removals)."""
-        with self._events_lock:
-            return list(self._events)
-
-    def _log_event(self, event: str, backend: str | None = None,
-                   **detail: Any) -> None:
-        entry: dict[str, Any] = {"ts": round(time.time(), 3), "event": event}
-        if backend is not None:
-            entry["backend"] = backend
-        entry.update(detail)
-        with self._events_lock:
-            self._events.append(entry)
-        tail = " ".join(f"{k}={v}" for k, v in detail.items())
-        where = f" backend={backend}" if backend is not None else ""
-        print(f"repro.cluster: {event}{where}" + (f" {tail}" if tail else ""),
-              file=sys.stderr)
-
+    # Lifecycle hooks (the loop thread itself is the shared front's).
     # ------------------------------------------------------------------
-    # Lifecycle (mirrors NetServer: loop on a daemon thread).
-    # ------------------------------------------------------------------
-    def start(self) -> "Gateway":
-        with self._lifecycle:
-            if self._state == "started":
-                return self
-            if self._state == "closed":
-                raise ConfigError("Gateway cannot be restarted after close()")
-            self._loop = asyncio.new_event_loop()
-            self._loop_thread = threading.Thread(
-                target=self._run_loop, name="repro-gateway", daemon=True
-            )
-            self._loop_thread.start()
-            self._started.wait(timeout=60)
-            if self._startup_error is not None:
-                raise ConfigError(
-                    f"gateway failed to start: {self._startup_error}"
-                )
-            if not self._started.is_set():
-                raise ConfigError("gateway did not start within 60s")
-            self._state = "started"
-            return self
-
-    def close(self) -> None:
-        self._stop_serving.set()
-        with self._lifecycle:
-            if self._state != "started":
-                self._state = "closed"
-                return
-            self._state = "closed"
-            self._closing = True
-            loop, stop = self._loop, self._stop_async
-            if loop is not None and stop is not None:
-                try:
-                    loop.call_soon_threadsafe(stop.set)
-                except RuntimeError:
-                    pass  # loop already dead
-            if self._loop_thread is not None:
-                self._loop_thread.join(timeout=30)
-
-    def serve_forever(self, install_signals: bool = True) -> None:
-        """Block until SIGTERM/SIGINT or ``close()``, then shut down."""
-        import signal
-
-        self.start()
-        previous = {}
-        if install_signals:
-            def handler(signum: int, frame: Any) -> None:
-                self._stop_serving.set()
-
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    previous[signum] = signal.signal(signum, handler)
-                except ValueError:
-                    pass  # not the main thread; close() can still stop us
-        try:
-            self._stop_serving.wait()
-        finally:
-            for signum, old in previous.items():
-                signal.signal(signum, old)
-            self.close()
-
-    def __enter__(self) -> "Gateway":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def _run_loop(self) -> None:
-        loop = self._loop
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(self._serve_main())
-        except BaseException as error:  # noqa: BLE001 — surfaced by start()
-            self._startup_error = error
-            self._started.set()
-        finally:
-            loop.close()
-
-    async def _serve_main(self) -> None:
-        self._stop_async = asyncio.Event()
+    async def _open(self) -> None:
         for key in self._backend_keys:
             backend = _Backend(key)
             backend.admin_lock = asyncio.Lock()
@@ -357,39 +239,21 @@ class Gateway:
             self._check_meta(backend)
             self._backends[key] = backend
             self._ring.add(key)
-        server = await asyncio.start_server(
-            self._handle_conn, self._host, self._port
-        )
-        self._port = server.sockets[0].getsockname()[1]
+
+    def _opened(self) -> None:
         for backend in self._backends.values():
             backend.prober = asyncio.ensure_future(self._probe_loop(backend))
-        self._started.set()
-        await self._stop_async.wait()
-        server.close()
-        await server.wait_closed()
-        tasks = list(self._tasks)
+
+    async def _stopped(self) -> None:
+        tasks = []
         for backend in self._backends.values():
             for task in (backend.prober, backend.drain_task):
                 if task is not None:
                     tasks.append(task)
                     task.cancel()
-        for task in list(self._tasks):
-            task.cancel()
         await asyncio.gather(*tasks, return_exceptions=True)
         for backend in self._backends.values():
             await self._admin_close(backend)
-        for conn in list(self._conns.values()):
-            for up in conn.upstreams.values():
-                up.gone = True
-                try:
-                    up.writer.close()
-                except OSError:
-                    pass
-            try:
-                conn.writer.close()
-            except OSError:
-                pass
-        self._conns.clear()
 
     def _check_meta(self, backend: _Backend) -> None:
         """Every backend must serve the same model shape — a fleet that
@@ -427,7 +291,7 @@ class Gateway:
             asyncio.open_connection(backend.host, backend.port),
             self._connect_timeout_s,
         )
-        frames = _FrameReader(reader)
+        frames = FrameReader(reader)
         line = await asyncio.wait_for(
             frames.read_line(MAX_LINE_BYTES), self._connect_timeout_s
         )
@@ -442,12 +306,12 @@ class Gateway:
             raise ConfigError(
                 f"backend {backend.key} did not greet with a hello frame"
             )
-        backend.reader, backend.writer, backend.frames = reader, writer, frames
+        backend.writer, backend.frames = writer, frames
         backend.hello = hello
 
     async def _admin_close(self, backend: _Backend) -> None:
         writer = backend.writer
-        backend.reader = backend.writer = backend.frames = None
+        backend.writer = backend.frames = None
         if writer is not None:
             try:
                 writer.close()
@@ -531,8 +395,8 @@ class Gateway:
             return
         was_draining = backend.state == "draining"
         backend.state = "down"
-        self._log_event("backend_down", backend=backend.key, reason=reason,
-                        draining=was_draining)
+        self._journal.log("backend_down", backend=backend.key, reason=reason,
+                          draining=was_draining)
         self._drop_placements(backend.key)
         for conn in list(self._conns.values()):
             up = conn.upstreams.get(backend.key)
@@ -545,8 +409,8 @@ class Gateway:
         # A backend that died mid-drain comes back *draining*: the
         # operator asked for it to leave, and death is not a rollback.
         backend.state = "draining" if backend.drain_task else "up"
-        self._log_event("backend_up", backend=backend.key,
-                        state=backend.state)
+        self._journal.log("backend_up", backend=backend.key,
+                          state=backend.state)
 
     def _drop_placements(self, key: str) -> None:
         for session in [s for s, k in self._placements.items() if k == key]:
@@ -568,8 +432,8 @@ class Gateway:
                 self._fail_upstream(conn, up, "backend removed after drain")
         self._backends.pop(backend.key, None)
         self._removed.append(backend.key)
-        self._log_event("backend_removed", backend=backend.key,
-                        ring=sorted(self._ring.nodes))
+        self._journal.log("backend_removed", backend=backend.key,
+                          ring=sorted(self._ring.nodes))
 
     # ------------------------------------------------------------------
     # Client connections.
@@ -605,127 +469,36 @@ class Gateway:
             },
         }
 
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = _ClientConn(next(self._conn_ids), writer)
-        self._conns[conn.id] = conn
-        task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
-        self._write(conn, self._hello())
-        frames = _FrameReader(reader)
-        try:
-            while True:
-                first = await frames.peek_byte()
-                if first is None:
-                    break
-                if first == BIN_MAGIC:
-                    if not await self._read_client_binary(conn, frames):
-                        break
-                else:
-                    try:
-                        line = await frames.read_line(MAX_LINE_BYTES)
-                    except _LineTooLong:
-                        self._write(conn, error_reply(
-                            None,
-                            f"request line exceeds {MAX_LINE_BYTES} bytes",
-                        ))
-                        await writer.drain()
-                        continue
-                    if line is None:
-                        break
-                    await self._handle_line(conn, line)
-                await writer.drain()
-        except (asyncio.CancelledError, ConnectionError):
-            pass
-        finally:
-            self._conns.pop(conn.id, None)
-            if task is not None:
-                self._tasks.discard(task)
-            for up in list(conn.upstreams.values()):
-                up.gone = True
-                if up.pump is not None:
-                    up.pump.cancel()
-                try:
-                    up.writer.close()
-                except OSError:
-                    pass
+    def _release_conn(self, conn: _ClientConn) -> None:
+        for up in list(conn.upstreams.values()):
+            up.gone = True
+            if up.pump is not None:
+                up.pump.cancel()
             try:
-                writer.close()
-            except Exception:  # repro: ignore[REP005] reader already failed; closing a broken transport must not mask that
+                up.writer.close()
+            except OSError:
                 pass
 
-    async def _read_client_binary(self, conn: _ClientConn,
-                                  frames: _FrameReader) -> bool:
+    async def _frame(self, conn: _ClientConn, frame: BinaryFrame) -> None:
         """One v2 frame off a client: header-route, forward verbatim.
 
-        Only the 24-byte prefix and the shape header are inspected (for
-        the session id, request id and frame length); the payload passes
-        through untouched.  Length-untrustworthy headers tear the
-        connection down, exactly like NetServer — there is nothing left
-        to resynchronize on.
+        Only the prefix and the shape header were inspected (for the
+        session id, request id and frame length); the payload passes
+        through untouched and the backend validates the rest.
         """
-        prefix = await frames.read_exactly(BIN_PREFIX.size)
-        if prefix is None:
-            return False
-        (_, _version, _opcode, _dtype, rid, _seq,
-         slen, ndim, _pad) = BIN_PREFIX.unpack(prefix)
-        if ndim > MAX_BIN_NDIM or slen > MAX_BIN_SESSION:
-            self._write(conn, error_reply(rid, (
-                f"binary header lengths out of range (ndim {ndim}, session "
-                f"{slen} bytes); the frame cannot be skipped — closing"
-            )))
-            return False
-        rest = await frames.read_exactly(4 * ndim + 4)
-        if rest is None:
-            return False
-        nbytes = struct.unpack("<I", rest[-4:])[0]
-        if nbytes > MAX_FRAME_BYTES:
-            self._write(conn, error_reply(rid, (
-                f"binary payload of {nbytes} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte cap; closing"
-            )))
-            return False
-        body = await frames.read_exactly(slen + nbytes)
-        if body is None:
-            return False
-        try:
-            session = body[:slen].decode("utf-8")
-        except UnicodeDecodeError:
-            self._write(conn, error_reply(rid, "session id is not UTF-8"))
-            return True
-        if not session:
+        header = frame.header
+        if not frame.session:
             self._write(conn, error_reply(
-                rid, "binary frames need a non-empty session id"
+                header.rid, "binary frames need a non-empty session id"
             ))
-            return True
-        await self._forward(conn, rid, "push", session,
-                            prefix + rest + body, binary=True)
-        return True
+            return
+        op = (BIN_REQUEST_NAMES.get(header.opcode)
+              or f"binary op {header.opcode}")
+        await self._forward(conn, header.rid, op, frame.session, frame.raw,
+                            binary=True)
 
-    async def _handle_line(self, conn: _ClientConn, line: bytes) -> None:
-        try:
-            message = parse_line(line)
-        except NetError as error:
-            self._write(conn, error_reply(None, error))
-            return
-        rid = message.get("id")
-        if isinstance(rid, (dict, list)):
-            self._write(conn, error_reply(
-                None, "request id must be a JSON scalar"
-            ))
-            return
-        op = message.get("op")
-        if not isinstance(op, str):
-            self._write(conn, error_reply(
-                rid, "op must be a string naming one of "
-                + ", ".join(OPS + CLUSTER_OPS)
-            ))
-            return
-        if op == "ping":
-            self._write(conn, {"id": rid, "ok": True, "type": "pong"})
-            return
+    async def _request(self, conn: _ClientConn, rid: Any, op: str,
+                       message: dict, line: bytes) -> None:
         if op in ("health", "cluster_health"):
             self._write(conn, {"id": rid, "ok": True, "type": op,
                                **self._cluster_snapshot()})
@@ -751,10 +524,7 @@ class Gateway:
                 return
             await self._forward(conn, rid, op, session, line)
             return
-        self._write(conn, error_reply(
-            rid, f"unknown op {op!r}; expected one of "
-            + ", ".join(OPS + CLUSTER_OPS)
-        ))
+        self._unknown_op(conn, rid, op)
 
     # ------------------------------------------------------------------
     # Forwarding.
@@ -859,11 +629,15 @@ class Gateway:
                 if first is None:
                     break
                 if first == BIN_MAGIC:
-                    raw = await self._read_upstream_binary(up)
-                    if raw is None:
+                    try:
+                        frame = await read_binary_frame(up.frames)
+                    except FramingError:
+                        frame = None
+                    if frame is None:
                         reason = "backend reply stream desynced"
                         break
-                    conn.writer.write(raw)
+                    up.pending.pop(frame.header.rid, None)
+                    conn.writer.write(frame.raw)
                 else:
                     line = await up.frames.read_line(MAX_FRAME_BYTES)
                     if line is None:
@@ -885,27 +659,6 @@ class Gateway:
             self._backend_down(backend, reason)
         else:
             self._fail_upstream(conn, up, reason)
-
-    async def _read_upstream_binary(self, up: _Upstream) -> bytes | None:
-        """One binary reply, verbatim; None when the frame is untrusted."""
-        prefix = await up.frames.read_exactly(BIN_PREFIX.size)
-        if prefix is None:
-            return None
-        (_, _version, _opcode, _dtype, rid, _seq,
-         slen, ndim, _pad) = BIN_PREFIX.unpack(prefix)
-        if ndim > MAX_BIN_NDIM or slen > MAX_BIN_SESSION:
-            return None
-        rest = await up.frames.read_exactly(4 * ndim + 4)
-        if rest is None:
-            return None
-        nbytes = struct.unpack("<I", rest[-4:])[0]
-        if nbytes > MAX_FRAME_BYTES:
-            return None
-        body = await up.frames.read_exactly(slen + nbytes)
-        if body is None:
-            return None
-        up.pending.pop(rid, None)
-        return prefix + rest + body
 
     def _settle_line(self, up: _Upstream, line: bytes) -> None:
         try:
@@ -1031,7 +784,7 @@ class Gateway:
         if backend.drain_task is None:
             if backend.state == "up":
                 backend.state = "draining"
-            self._log_event("drain_started", backend=key, force=force)
+            self._journal.log("drain_started", backend=key, force=force)
             backend.drain_task = asyncio.ensure_future(
                 self._drain_backend(backend, force)
             )
@@ -1112,8 +865,8 @@ class Gateway:
             backend.drain_task = None
         if backend.state == "draining":
             backend.state = "up"
-        self._log_event("drain_cancelled", backend=key,
-                        state=backend.state)
+        self._journal.log("drain_cancelled", backend=key,
+                          state=backend.state)
         self._write(conn, {"id": rid, "ok": True, "type": "cluster_undrain",
                            "backend": key, "state": backend.state})
 
@@ -1145,15 +898,8 @@ class Gateway:
             self._removed.remove(key)
         self._ring.add(key)
         backend.prober = asyncio.ensure_future(self._probe_loop(backend))
-        self._log_event("backend_added", backend=key,
-                        ring=sorted(self._ring.nodes))
+        self._journal.log("backend_added", backend=key,
+                          ring=sorted(self._ring.nodes))
         self._write(conn, {"id": rid, "ok": True, "type": "cluster_add",
                            "backend": key,
                            "backends": len(self._backends)})
-
-    # ------------------------------------------------------------------
-    def _write(self, conn: _ClientConn, message: dict) -> None:
-        try:
-            conn.writer.write(dump_line(message))
-        except Exception:  # repro: ignore[REP005] connection torn down mid-write; the reader path cleans up
-            pass

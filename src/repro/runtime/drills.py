@@ -89,6 +89,10 @@ def gateway_target(gateway: Any, wire: int) -> Target:
 _VIA = {"net": "over the wire", "gateway": "through the gateway"}
 
 
+#: How long the midpoint waits for every client before it breaks.
+_MIDPOINT_TIMEOUT_S = 120
+
+
 @dataclass
 class Soak:
     outputs: list
@@ -105,7 +109,8 @@ def soak(target: Target, plan: Any,
     outputs: list = [None] * count
     recoveries = [0] * count
     errors: list[str] = []
-    midpoint = threading.Barrier(count + 1, timeout=120)
+    stranded: list[int] = []  # clients whose midpoint wait broke
+    midpoint = threading.Barrier(count + 1, timeout=_MIDPOINT_TIMEOUT_S)
 
     def client(index: int) -> None:
         try:
@@ -114,6 +119,10 @@ def soak(target: Target, plan: Any,
                 midpoint.wait()
                 outputs[index] = plan.second(session, index, state)
                 recoveries[index] = getattr(session, "recoveries", 0)
+        except threading.BrokenBarrierError:
+            # Another client's abort (already in ``errors``) or the
+            # timeout: not a root cause of its own.
+            stranded.append(index)
         except Exception as error:  # noqa: BLE001 — reported by the caller
             errors.append(f"{plan.unit} {index}: {error}")
             midpoint.abort()
@@ -125,14 +134,21 @@ def soak(target: Target, plan: Any,
         thread.start()
     try:
         midpoint.wait()
+        met = True
     except threading.BrokenBarrierError:
-        pass
+        met = False
     try:
-        if disrupt is not None and not errors:
+        if disrupt is not None and met and not errors:
             disrupt()
     finally:
         for thread in threads:
             thread.join()
+    if stranded and not errors:
+        errors.extend(
+            f"{plan.unit} {index}: the midpoint barrier broke with no client "
+            f"error (not every client arrived within {_MIDPOINT_TIMEOUT_S}s)"
+            for index in sorted(stranded)
+        )
     return Soak(outputs, recoveries, errors, time.perf_counter() - start)
 
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import socket
-import struct
 import time
 from collections import deque
 from typing import Any
@@ -56,9 +55,6 @@ from repro.runtime.net.protocol import (
     BIN_RESULT_MANY,
     BIN_SCORE,
     BIN_SCORE_RESULT,
-    MAX_BIN_NDIM,
-    MAX_BIN_SESSION,
-    MAX_FRAME_BYTES,
     MAX_PROTOCOL,
     MAX_PUSH_MANY_FRAMES,
     BusyError,
@@ -71,6 +67,8 @@ from repro.runtime.net.protocol import (
     decode_array,
     dump_line,
     encode_array,
+    parse_binary_prefix,
+    parse_binary_shape,
     parse_line,
 )
 from repro.runtime.workloads import generate_params, score_params
@@ -236,36 +234,27 @@ class Client:
             if first[0] != BIN_MAGIC:
                 line = first + self._file.readline()
                 return parse_line(line)
-            prefix = first + self._read_exactly(BIN_PREFIX.size - 1)
-            (_, version, opcode, dtype_code, rid, seq,
-             slen, ndim, _pad) = BIN_PREFIX.unpack(prefix)
-            if (ndim > MAX_BIN_NDIM or slen > MAX_BIN_SESSION):
-                raise NetError(
-                    f"unframeable binary reply header (ndim {ndim}, "
-                    f"session {slen} bytes)"
-                )
-            *dims, nbytes = struct.unpack(
-                f"<{ndim}II", self._read_exactly(4 * ndim + 4)
+            header = parse_binary_prefix(
+                first + self._read_exactly(BIN_PREFIX.size - 1)
             )
-            if nbytes > MAX_FRAME_BYTES:
-                raise NetError(
-                    f"binary reply payload of {nbytes} bytes exceeds the "
-                    f"{MAX_FRAME_BYTES}-byte cap"
-                )
-            body = self._read_exactly(slen + nbytes)
+            dims, nbytes = parse_binary_shape(
+                header, self._read_exactly(header.shape_size)
+            )
+            body = self._read_exactly(header.slen + nbytes)
             check_binary_header(
-                version, opcode, dtype_code, tuple(dims), nbytes,
-                expect_request=False,
+                header.version, header.opcode, header.dtype_code, dims,
+                nbytes, expect_request=False,
             )
             values = np.asarray(
-                np.frombuffer(body[slen:], dtype="<f8"), dtype=np.float64
+                np.frombuffer(body[header.slen:], dtype="<f8"),
+                dtype=np.float64,
             ).reshape(dims)
             return {
-                "id": rid,
+                "id": header.rid,
                 "ok": True,
                 "type": {BIN_RESULT: "push", BIN_RESULT_MANY: "push_many",
-                         BIN_SCORE_RESULT: "score"}[opcode],
-                "seq": seq,
+                         BIN_SCORE_RESULT: "score"}[header.opcode],
+                "seq": header.seq,
                 "logits_array": values,
             }
         except socket.timeout:

@@ -61,7 +61,7 @@ from __future__ import annotations
 import base64
 import json
 import struct
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -78,6 +78,8 @@ __all__ = [
     "RetryableError",
     "ConnectionLostError",
     "UnknownSessionError",
+    "FramingError",
+    "BinaryHeader",
     "encode_array",
     "decode_array",
     "token_payload_bytes",
@@ -85,6 +87,8 @@ __all__ = [
     "parse_line",
     "error_reply",
     "build_binary_frame",
+    "parse_binary_prefix",
+    "parse_binary_shape",
     "check_binary_header",
 ]
 
@@ -140,7 +144,10 @@ BIN_PREFIX = struct.Struct("<BBBBQQHBB")
 MAX_BIN_NDIM = 4
 MAX_BIN_SESSION = 1024
 
-_REQUEST_OPS = (BIN_PUSH, BIN_PUSH_MANY, BIN_SCORE)
+#: Binary request op code -> the wire op it carries.
+BIN_REQUEST_NAMES = {BIN_PUSH: "push", BIN_PUSH_MANY: "push_many",
+                     BIN_SCORE: "score"}
+_REQUEST_OPS = tuple(BIN_REQUEST_NAMES)
 _RESULT_OPS = (BIN_RESULT, BIN_RESULT_MANY, BIN_SCORE_RESULT)
 
 
@@ -181,6 +188,20 @@ class ConnectionLostError(RetryableError):
     is why recovery always reconciles via the ``seq`` reported by
     ``open`` before resending anything.
     """
+
+
+class FramingError(NetError):
+    """A binary header whose *lengths* break the hard caps.
+
+    The frame cannot be skipped, so the stream position is lost: the
+    reader answers once (``rid`` is the header's request id) and hangs
+    up.  Every other header defect is recoverable — see
+    :func:`check_binary_header`.
+    """
+
+    def __init__(self, message: str, rid: int):
+        super().__init__(message)
+        self.rid = rid
 
 
 class UnknownSessionError(NetError):
@@ -358,6 +379,57 @@ def build_binary_frame(
     )
     header = struct.pack(f"<{ndim}II", *shape, len(payload))
     return b"".join((prefix, header, session, payload))
+
+
+class BinaryHeader(NamedTuple):
+    """A v2 frame's fixed prefix (``BIN_PREFIX``'s fields, in order),
+    its lengths within the hard caps."""
+
+    magic: int
+    version: int
+    opcode: int
+    dtype_code: int
+    rid: int
+    seq: int
+    slen: int
+    ndim: int
+    reserved: int
+
+    @property
+    def shape_size(self) -> int:
+        """Bytes of the shape header that follows: dims plus ``nbytes``."""
+        return 4 * self.ndim + 4
+
+
+def parse_binary_prefix(prefix: bytes) -> BinaryHeader:
+    """Unpack the ``BIN_PREFIX.size``-byte prefix of a binary frame.
+
+    The one framing-level parse every reader shares (server, gateway,
+    client); raises :class:`FramingError` when ``ndim`` or the session
+    length is over its cap.
+    """
+    header = BinaryHeader._make(BIN_PREFIX.unpack(prefix))
+    if header.ndim > MAX_BIN_NDIM or header.slen > MAX_BIN_SESSION:
+        raise FramingError(
+            f"binary header lengths out of range (ndim {header.ndim}, "
+            f"session {header.slen} bytes); the frame cannot be skipped — "
+            "closing", header.rid,
+        )
+    return header
+
+
+def parse_binary_shape(header: BinaryHeader,
+                       data: bytes) -> tuple[tuple[int, ...], int]:
+    """``(dims, nbytes)`` from the ``header.shape_size`` bytes after the
+    prefix; raises :class:`FramingError` past ``MAX_FRAME_BYTES``.  The
+    frame's remaining length is then ``header.slen + nbytes``."""
+    *dims, nbytes = struct.unpack(f"<{header.ndim}II", data)
+    if nbytes > MAX_FRAME_BYTES:
+        raise FramingError(
+            f"binary payload of {nbytes} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte cap; closing", header.rid,
+        )
+    return tuple(dims), nbytes
 
 
 def check_binary_header(

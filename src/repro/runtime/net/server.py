@@ -31,6 +31,11 @@ listener stops, in-flight frames complete and their replies flush, then
 workers shut down their micro-batching servers (which drain their own
 queues in turn).
 
+The network-facing half — request reading, the JSON preamble, the loop
+thread and the event journal — is :mod:`repro.runtime.net.front`, shared
+with the cluster gateway; this module is the policy: admission, ring
+dispatch and supervision.
+
 >>> with NetServer(compiled, workers=2) as server:
 ...     client = Client(*server.address)
 ...     logits = client.session("stream-7").push(frame)
@@ -44,9 +49,6 @@ import hashlib
 import itertools
 import json
 import os
-import signal
-import struct
-import sys
 import tempfile
 import threading
 import time
@@ -58,30 +60,21 @@ from typing import Any
 
 from repro.errors import ConfigError
 from repro.runtime.net.faults import coerce_faults
+from repro.runtime.net.front import BinaryFrame, Front, Journal
 from repro.runtime.net.protocol import (
-    BIN_PREFIX,
-    BIN_MAGIC,
-    BIN_PUSH,
-    BIN_PUSH_MANY,
+    BIN_REQUEST_NAMES,
     BIN_RESULT,
     BIN_RESULT_MANY,
-    BIN_SCORE,
     BIN_SCORE_RESULT,
     MAX_BIN_NDIM,
-    MAX_BIN_SESSION,
-    MAX_FRAME_BYTES,
-    MAX_LINE_BYTES,
     MAX_PROTOCOL,
-    OPS,
     PROTOCOL_VERSION,
     SESSION_OPS,
     NetError,
     build_binary_frame,
     check_binary_header,
-    dump_line,
     error_reply,
     frame_payload_bytes,
-    parse_line,
     token_payload_bytes,
 )
 from repro.runtime.net.ring import (
@@ -131,81 +124,6 @@ def route_session(session: str, workers: int) -> int:
     """
     digest = hashlib.sha256(session.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % workers
-
-
-class _LineTooLong(Exception):
-    """An NDJSON line overran ``MAX_LINE_BYTES``; the stream is resynced."""
-
-
-class _FrameReader:
-    """Buffered reads over a StreamReader for the dual-framing protocol.
-
-    asyncio's own ``readline`` raises on an oversized line *after
-    garbling its buffer*, which is why PR 5 had to hang up on oversized
-    requests.  This reader owns the buffer: an oversized line is
-    discarded through its terminating newline, so the caller can send
-    the promised structured error and keep the connection.
-    """
-
-    __slots__ = ("_reader", "_buf", "_eof")
-
-    def __init__(self, reader: asyncio.StreamReader):
-        self._reader = reader
-        self._buf = bytearray()
-        self._eof = False
-
-    async def _fill(self) -> bool:
-        if self._eof:
-            return False
-        chunk = await self._reader.read(65536)
-        if not chunk:
-            self._eof = True
-            return False
-        self._buf += chunk
-        return True
-
-    async def peek_byte(self) -> int | None:
-        """First buffered byte without consuming it; None at EOF."""
-        while not self._buf:
-            if not await self._fill():
-                return None
-        return self._buf[0]
-
-    async def read_exactly(self, count: int) -> bytes | None:
-        """``count`` bytes, or None if the peer hung up first."""
-        while len(self._buf) < count:
-            if not await self._fill():
-                return None
-        taken = bytes(self._buf[:count])
-        del self._buf[:count]
-        return taken
-
-    async def read_line(self, limit: int) -> bytes | None:
-        """One newline-terminated line of at most ``limit`` bytes.
-
-        Raises :class:`_LineTooLong` — after consuming the whole
-        oversized line, so the stream stays in sync — when the cap is
-        exceeded.  Returns None at EOF.
-        """
-        overflow = False
-        while True:
-            index = self._buf.find(b"\n")
-            if index != -1:
-                line = bytes(self._buf[: index + 1])
-                del self._buf[: index + 1]
-                if overflow or index > limit:
-                    raise _LineTooLong()
-                return line
-            if len(self._buf) > limit:
-                # Bound memory while discarding toward the newline.
-                overflow = True
-                self._buf.clear()
-            if not await self._fill():
-                if not overflow and self._buf:
-                    line = bytes(self._buf)  # unterminated trailing line
-                    self._buf.clear()
-                    return line
-                return None
 
 
 class _Doorbells:
@@ -283,7 +201,7 @@ class _Conn:
         self.protocol = PROTOCOL_VERSION  # raised to 2 by negotiation
 
 
-class NetServer:
+class NetServer(Front):
     """Serve one compiled model over TCP, sharded across worker processes.
 
     ``compiled`` is a :class:`repro.runtime.CompiledModel` (saved to a
@@ -317,6 +235,10 @@ class NetServer:
     injection (see :mod:`repro.runtime.net.faults`) and ``fault_log``
     appends every supervision event to a JSONL file.
     """
+
+    _kind = "net server"
+    _thread_name = "repro-net-server"
+    _conn_type = _Conn
 
     def __init__(
         self,
@@ -386,10 +308,10 @@ class NetServer:
             from repro.runtime.model import CompiledModel
 
             compiled = CompiledModel.load(artifact_path)
+        super().__init__(host, port, Journal("repro.net", fault_log))
+        self._join_timeout_s = drain_timeout_s + 30
         self._compiled = compiled
         self._artifact_path = Path(artifact_path) if artifact_path else None
-        self._host = host
-        self._port = port
         self.workers = workers
         self.max_batch = max_batch
         self.max_delay_s = max_delay_s
@@ -405,12 +327,10 @@ class NetServer:
         self.session_ttl_s = session_ttl_s
         self.session_cap = session_cap
         self.faults = coerce_faults(faults)
-        self._fault_log = Path(fault_log) if fault_log else None
 
         # Supervision state.  The per-worker arrays live on the event
         # loop thread once serving; generations invalidate stale pump
-        # callbacks after a restart.  _events is the supervision journal
-        # (also mirrored to fault_log as JSON lines when configured).
+        # callbacks after a restart.
         self._gen: list[int] = []
         self._worker_state: list[str] = []  # up|down|restarting|degraded
         self._restarts: list[int] = []
@@ -420,12 +340,8 @@ class NetServer:
         self._last_hb_sent = 0.0
         self._last_sweep = 0.0
         self._restart_threads: list[threading.Thread] = []
-        self._events: list[dict] = []  # guarded-by: _events_lock
-        self._events_lock = threading.Lock()
-        self._closing = False
         self.retryable_errors_total = 0
 
-        self._stop_serving = threading.Event()
         self._tmpdir: tempfile.TemporaryDirectory | None = None
         self._procs: list[Any] = []
         self._worker_queues: list[Any] = []
@@ -442,23 +358,14 @@ class NetServer:
         # (worker index, generation, thread) — the generation lets
         # shutdown skip pumps whose queue a dead worker may have poisoned.
         self._pumps: list[tuple[int, int, threading.Thread]] = []
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._loop_thread: threading.Thread | None = None
-        self._stop_async: asyncio.Event | None = None
-        self._started = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._lifecycle = threading.Lock()
-        self._state = "new"  # guarded-by: _lifecycle (new -> started -> closed)
+        self._reaper: asyncio.Task | None = None
 
-        # Event-loop-thread state.
-        self._conns: dict[int, _Conn] = {}
-        self._conn_ids = itertools.count(1)
-        self._tasks: set[asyncio.Task] = set()
-        # Stats fan-out tracking.  Keyed by a server-generated token (an
-        # unguessable per-server prefix + counter), NOT the client-chosen
-        # request id: a client reusing one id for a push and a stats
-        # request must not be able to collide a push reply into a stats
-        # aggregate and corrupt the admission accounting.
+        # Event-loop-thread state.  Stats fan-out tracking is keyed by a
+        # server-generated token (an unguessable per-server prefix +
+        # counter), NOT the client-chosen request id: a client reusing one
+        # id for a push and a stats request must not be able to collide a
+        # push reply into a stats aggregate and corrupt the admission
+        # accounting.
         self._stats_prefix = f"stats:{uuid.uuid4().hex}:"
         self._stats_seq = itertools.count(1)
         # token -> (op, conn_id, rid, parts) for stats/sessions fan-outs.
@@ -479,15 +386,6 @@ class NetServer:
         self._draining = False
 
     # ------------------------------------------------------------------
-    @property
-    def address(self) -> tuple[str, int]:
-        """``(host, port)`` actually bound (resolves ``port=0``)."""
-        return self._host, self._port
-
-    @property
-    def port(self) -> int:
-        return self._port
-
     def _workload_hello(self) -> dict:
         """Workload metadata advertised in the hello frame.
 
@@ -506,124 +404,60 @@ class NetServer:
             pass  # token workload without a saved vocabulary
         return extra
 
-    @property
-    def events(self) -> list[dict]:
-        """Snapshot of the supervision journal (restarts, faults, ...)."""
-        with self._events_lock:
-            return list(self._events)
+    def _hello(self) -> dict:
+        return {
+            "type": "hello",
+            "protocol": PROTOCOL_VERSION,
+            "max_protocol": self.max_protocol,
+            "backend": self._compiled.backend,
+            "input_size": self._compiled.input_size,
+            "num_classes": self._compiled.num_classes,
+            "workers": self.workers,
+            "queue_limit": self.queue_limit,
+            **self._workload_hello(),
+        }
 
-    def _log_event(self, event: str, worker: int | None = None,
-                   **detail: Any) -> None:
-        """Record one supervision event (any thread)."""
-        entry: dict[str, Any] = {"ts": round(time.time(), 3), "event": event}
-        if worker is not None:
-            entry["worker"] = worker
-        entry.update(detail)
-        with self._events_lock:
-            self._events.append(entry)
-        tail = " ".join(f"{k}={v}" for k, v in detail.items())
-        where = f" worker={worker}" if worker is not None else ""
-        print(f"repro.net: {event}{where}" + (f" {tail}" if tail else ""),
-              file=sys.stderr)
-        if self._fault_log is not None:
-            try:
-                with open(self._fault_log, "a", encoding="utf-8") as handle:
-                    handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            except OSError:
-                # Journaling must never take the data path down with it.
-                self._fault_log = None
+    def _before_start(self) -> None:
+        self._spawn_workers()
 
-    def __enter__(self) -> "NetServer":
-        return self.start()
+    def _opened(self) -> None:
+        for index, bells in enumerate(self._doorbells):
+            self._watch_doorbell(index, bells)
+        self._reaper = asyncio.ensure_future(self._reap_loop())
+        self._pumps = [
+            (index, 0, threading.Thread(
+                target=self._pump_replies,
+                args=(index, 0, queue),
+                name=f"repro-net-pump-{index}",
+                daemon=True,
+            ))
+            for index, queue in enumerate(self._reply_queues)
+        ]
+        for _index, _gen, pump in self._pumps:
+            pump.start()
 
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
+    async def _drain(self) -> None:
+        """Refuse new work and wait for every dispatched frame's reply
+        (the readers stay alive so those replies still reach clients)."""
+        self._reaper.cancel()
+        self._draining = True
+        deadline = time.monotonic() + self.drain_timeout_s
+        while self._inflight > 0 and time.monotonic() < deadline:
+            # Requests owed by a dead worker can never drain; fail them
+            # now rather than waiting out the whole timeout.  (No
+            # respawns during drain — _on_worker_down checks _draining.)
+            self._supervise_tick()
+            await asyncio.sleep(0.005)
 
-    # ------------------------------------------------------------------
-    def start(self) -> "NetServer":
-        """Spawn workers, bind the socket, begin serving.  Returns self."""
-        with self._lifecycle:
-            if self._state == "started":
-                return self
-            if self._state == "closed":
-                raise ConfigError("NetServer cannot be restarted after close()")
-            self._spawn_workers()
-            self._loop = asyncio.new_event_loop()
-            self._loop_thread = threading.Thread(
-                target=self._run_loop, name="repro-net-server", daemon=True
-            )
-            self._loop_thread.start()
-            self._started.wait(timeout=30)
-            if self._startup_error is not None:
-                self._shutdown_workers()
-                raise ConfigError(
-                    f"net server failed to start: {self._startup_error}"
-                )
-            if not self._started.is_set():
-                self._shutdown_workers()
-                raise ConfigError("net server did not start within 30s")
-            self._pumps = [
-                (index, 0, threading.Thread(
-                    target=self._pump_replies,
-                    args=(index, 0, queue),
-                    name=f"repro-net-pump-{index}",
-                    daemon=True,
-                ))
-                for index, queue in enumerate(self._reply_queues)
-            ]
-            for _index, _gen, pump in self._pumps:
-                pump.start()
-            self._state = "started"
-            return self
-
-    def close(self) -> None:
-        """Drain in-flight frames, shut workers down, release the port.
-
-        Idempotent and safe under concurrent calls; every caller returns
-        only after the teardown is complete.
-        """
-        self._stop_serving.set()  # release any serve_forever() caller
-        with self._lifecycle:
-            if self._state == "started":
-                self._closing = True  # restart threads abort their respawns
-                loop, stop = self._loop, self._stop_async
-                if loop is not None and stop is not None:
-                    try:
-                        loop.call_soon_threadsafe(stop.set)
-                    except RuntimeError:
-                        pass  # loop already dead
-                if self._loop_thread is not None:
-                    self._loop_thread.join(timeout=self.drain_timeout_s + 30)
-                for thread in self._restart_threads:
-                    thread.join(timeout=15)
-                self._shutdown_workers()
-            # A start() that failed after saving the artifact leaves its
-            # temporary directory behind; it goes here either way.
-            self._state = "closed"
-            if self._tmpdir is not None:
-                self._tmpdir.cleanup()
-                self._tmpdir = None
-
-    def serve_forever(self, install_signals: bool = True) -> None:
-        """Block until SIGTERM/SIGINT — or ``close()`` from another
-        thread — then drain and shut down (CLI mode)."""
-        self.start()
-        previous = {}
-        if install_signals:
-            def handler(signum: int, frame: Any) -> None:
-                self._stop_serving.set()
-
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    previous[signum] = signal.signal(signum, handler)
-                except ValueError:
-                    pass  # not the main thread; close() can still stop us
-        try:
-            self._stop_serving.wait()
-        finally:
-            for signum, old in previous.items():
-                signal.signal(signum, old)
-            self.close()
+    def _teardown(self) -> None:
+        for thread in self._restart_threads:
+            thread.join(timeout=15)
+        self._shutdown_workers()
+        if self._tmpdir is not None:
+            # The artifact saved for the workers goes with them (a start
+            # retried after a failure saves it afresh).
+            self._tmpdir.cleanup()
+            self._tmpdir = self._artifact_path = None
 
     # ------------------------------------------------------------------
     # Worker lifecycle (caller threads).
@@ -868,213 +702,41 @@ class NetServer:
     # ------------------------------------------------------------------
     # Event-loop side.
     # ------------------------------------------------------------------
-    def _run_loop(self) -> None:
-        loop = self._loop
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(self._serve_main())
-        except BaseException as error:  # noqa: BLE001 — surfaced by start()
-            self._startup_error = error
-            self._started.set()
-        finally:
-            loop.close()
+    async def _frame(self, conn: _Conn, frame: BinaryFrame) -> None:
+        """One v2 request frame, already read in full.
 
-    async def _serve_main(self) -> None:
-        self._stop_async = asyncio.Event()
-        server = await asyncio.start_server(
-            self._handle_conn,
-            self._host,
-            self._port,
-        )
-        self._port = server.sockets[0].getsockname()[1]
-        for index, bells in enumerate(self._doorbells):
-            self._watch_doorbell(index, bells)
-        reaper = asyncio.ensure_future(self._reap_loop())
-        self._started.set()
-        await self._stop_async.wait()
-        reaper.cancel()
-
-        # Drain: stop accepting and refuse new work (readers stay alive so
-        # in-flight replies still reach their clients), wait for every
-        # dispatched frame's reply to flush, then tear the readers down.
-        self._draining = True
-        server.close()
-        await server.wait_closed()
-        deadline = time.monotonic() + self.drain_timeout_s
-        while self._inflight > 0 and time.monotonic() < deadline:
-            # Requests owed by a dead worker can never drain; fail them
-            # now rather than waiting out the whole timeout.  (No
-            # respawns during drain — _on_worker_down checks _draining.)
-            self._supervise_tick()
-            await asyncio.sleep(0.005)
-        readers = list(self._tasks)
-        for task in readers:
-            task.cancel()
-        await asyncio.gather(*readers, return_exceptions=True)
-        for conn in list(self._conns.values()):
-            # Replies were only written into the transport buffer; the
-            # drain promise means actually flushing them to the socket
-            # before the loop (and its pending writes) is torn down.  A
-            # client too slow to read within the remaining budget forfeits
-            # its tail.
-            try:
-                remaining = deadline - time.monotonic()
-                if remaining > 0:
-                    await asyncio.wait_for(conn.writer.drain(), remaining)
-            except (OSError, asyncio.TimeoutError):
-                # Drain is best-effort: a slow or dead client forfeits
-                # its reply tail by contract.
-                pass
-            try:
-                conn.writer.close()
-                await asyncio.wait_for(conn.writer.wait_closed(), 1.0)
-            except (OSError, asyncio.TimeoutError):
-                # Socket already reset by the peer; loop teardown
-                # follows either way.
-                pass
-        self._conns.clear()
-
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = _Conn(next(self._conn_ids), writer)
-        self._conns[conn.id] = conn
-        task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
-        self._write(conn, {
-            "type": "hello",
-            "protocol": PROTOCOL_VERSION,
-            "max_protocol": self.max_protocol,
-            "backend": self._compiled.backend,
-            "input_size": self._compiled.input_size,
-            "num_classes": self._compiled.num_classes,
-            "workers": self.workers,
-            "queue_limit": self.queue_limit,
-            **self._workload_hello(),
-        })
-        frames = _FrameReader(reader)
-        try:
-            while True:
-                first = await frames.peek_byte()
-                if first is None:
-                    break
-                if first == BIN_MAGIC:
-                    if not await self._read_binary(conn, frames):
-                        break
-                else:
-                    try:
-                        line = await frames.read_line(MAX_LINE_BYTES)
-                    except _LineTooLong:
-                        # The stream is resynced past the newline: one
-                        # structured error, connection stays usable.
-                        self._write(conn, error_reply(
-                            None,
-                            f"request line exceeds {MAX_LINE_BYTES} bytes",
-                        ))
-                        await writer.drain()
-                        continue
-                    if line is None:
-                        break
-                    self._handle_request(conn, line)
-                await writer.drain()
-        except (asyncio.CancelledError, ConnectionError):
-            pass
-        finally:
-            self._conns.pop(conn.id, None)
-            if task is not None:
-                self._tasks.discard(task)
-            try:
-                writer.close()
-            except Exception:  # repro: ignore[REP005] reader already failed; closing a broken transport must not mask that
-                pass
-
-    async def _read_binary(self, conn: _Conn, frames: _FrameReader) -> bool:
-        """Consume one v2 binary frame.  False tears the connection down.
-
-        The frame is length-prefixed and read in full before validation,
-        so every *semantic* defect (bad version/op/dtype, shape vs
-        payload mismatch) costs one structured JSON error and the
-        connection stays usable; only untrustworthy length fields force
-        a close (there is nothing left to resynchronize on).
+        The frame is self-delimiting, so every *semantic* defect (bad
+        version/op/dtype, shape vs payload mismatch) costs one
+        structured JSON error and the connection stays usable.
         """
-        prefix = await frames.read_exactly(BIN_PREFIX.size)
-        if prefix is None:
-            return False
-        (_, version, opcode, dtype_code, rid, _seq,
-         slen, ndim, _pad) = BIN_PREFIX.unpack(prefix)
-        if ndim > MAX_BIN_NDIM or slen > MAX_BIN_SESSION:
-            self._write(conn, error_reply(rid, (
-                f"binary header lengths out of range (ndim {ndim}, session "
-                f"{slen} bytes); the frame cannot be skipped — closing"
-            )))
-            return False
-        rest = await frames.read_exactly(4 * ndim + 4)
-        if rest is None:
-            return False
-        *dims, nbytes = struct.unpack(f"<{ndim}II", rest)
-        if nbytes > MAX_FRAME_BYTES:
-            self._write(conn, error_reply(rid, (
-                f"binary payload of {nbytes} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte cap; closing"
-            )))
-            return False
-        body = await frames.read_exactly(slen + nbytes)
-        if body is None:
-            return False
+        header = frame.header
+        rid = header.rid
         try:
             check_binary_header(
-                version, opcode, dtype_code, tuple(dims), nbytes,
-                expect_request=True,
+                header.version, header.opcode, header.dtype_code,
+                frame.dims, frame.nbytes, expect_request=True,
             )
-            session = body[:slen].decode("utf-8")
         except NetError as error:
             self._write(conn, error_reply(rid, error))
-            return True
-        except UnicodeDecodeError:
-            self._write(conn, error_reply(rid, "session id is not UTF-8"))
-            return True
+            return
         if conn.protocol < 2:
             self._write(conn, error_reply(rid, (
                 "binary framing was not negotiated on this connection; "
                 "send an open request with \"protocol\": 2 first"
             )))
-            return True
+            return
         if self._draining:
             self._write(conn, error_reply(
                 rid, "server is draining for shutdown; no new work accepted"
             ))
-            return True
-        op = {BIN_PUSH: "push", BIN_PUSH_MANY: "push_many",
-              BIN_SCORE: "score"}[opcode]
+            return
         self._dispatch(
-            conn, rid, op, session, body[slen:], tuple(dims), binary=True
+            conn, rid, BIN_REQUEST_NAMES[header.opcode], frame.session,
+            frame.payload, frame.dims, binary=True,
         )
-        return True
 
-    def _handle_request(self, conn: _Conn, line: bytes) -> None:
-        try:
-            message = parse_line(line)
-        except NetError as error:
-            self._write(conn, error_reply(None, error))
-            return
-        rid = message.get("id")
-        if isinstance(rid, (dict, list)):
-            self._write(conn, error_reply(
-                None, "request id must be a JSON scalar"
-            ))
-            return
-        op = message.get("op")
-        if not isinstance(op, str):
-            # A non-string op must fail as "unknown", not crash the
-            # frozenset membership tests below with an unhashable type.
-            self._write(conn, error_reply(
-                rid, f"op must be a string naming one of {', '.join(OPS)}"
-            ))
-            return
-        if op == "ping":
-            self._write(conn, {"id": rid, "ok": True, "type": "pong"})
-            return
+    async def _request(self, conn: _Conn, rid: Any, op: str, message: dict,
+                       line: bytes) -> None:
         if op == "health":
             # Parent-only: no worker round trip, so it answers even while
             # every worker is down, restarting, or the server is draining.
@@ -1171,9 +833,7 @@ class NetServer:
                 tuple(shape) if shape else (), merge=merge,
             )
             return
-        self._write(conn, error_reply(
-            rid, f"unknown op {op!r}; expected one of {', '.join(OPS)}"
-        ))
+        self._unknown_op(conn, rid, op)
 
     def _dispatch(
         self,
@@ -1322,8 +982,8 @@ class NetServer:
                 # Alive but unresponsive (stalled consumer, wedged
                 # compute): from a client's perspective that IS death,
                 # so make it one and let the restart path recover.
-                self._log_event("heartbeat_timeout", worker=index,
-                                age_s=round(age, 3))
+                self._journal.log("heartbeat_timeout", worker=index,
+                                  age_s=round(age, 3))
                 proc.kill()
                 self._on_worker_down(
                     index, f"heartbeat unanswered for {age:.1f}s"
@@ -1356,7 +1016,7 @@ class NetServer:
         """The worker announced its own death (unhandled consumer error)."""
         if index >= len(self._gen) or gen != self._gen[index]:
             return
-        self._log_event("worker_fatal", worker=index, message=message)
+        self._journal.log("worker_fatal", worker=index, message=message)
         proc = self._procs[index]
         if proc.is_alive():
             proc.terminate()
@@ -1375,8 +1035,8 @@ class NetServer:
             return  # already being handled
         self._worker_state[index] = "down"
         self._gen[index] += 1  # invalidates the dead generation's pump
-        self._log_event("worker_down", worker=index, reason=reason,
-                        restarts=self._restarts[index])
+        self._journal.log("worker_down", worker=index, reason=reason,
+                          restarts=self._restarts[index])
         # Fail in-flight requests BEFORE resetting ring accounting:
         # _settle decrements _ring_results per push op.
         self._fail_worker_inflight(index, reason)
@@ -1435,7 +1095,7 @@ class NetServer:
             times.popleft()
         if len(times) >= self.restart_budget:
             self._worker_state[index] = "degraded"
-            self._log_event(
+            self._journal.log(
                 "worker_degraded", worker=index,
                 restarts_in_window=len(times),
                 window_s=self.restart_window_s,
@@ -1518,7 +1178,7 @@ class NetServer:
         )
         self._pumps.append((index, gen, pump))
         pump.start()
-        self._log_event(
+        self._journal.log(
             "worker_restarted", worker=index, generation=gen,
             took_ms=round((now - began) * 1000, 1),
         )
@@ -1532,7 +1192,8 @@ class NetServer:
             or self._worker_state[index] != "restarting"
         ):
             return
-        self._log_event("worker_restart_failed", worker=index, reason=reason)
+        self._journal.log("worker_restart_failed", worker=index,
+                          reason=reason)
         self._worker_state[index] = "down"
         self._schedule_restart(index)
 
@@ -1754,9 +1415,3 @@ class NetServer:
             return  # client went away
         conn.pending -= 1
         self._write(conn, {"id": rid, **payload})
-
-    def _write(self, conn: _Conn, message: dict) -> None:
-        try:
-            conn.writer.write(dump_line(message))
-        except Exception:  # repro: ignore[REP005] connection torn down mid-write; the reader path cleans up
-            pass

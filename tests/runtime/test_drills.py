@@ -7,6 +7,7 @@ the drill fails when it should — an armed fault that never fires, and a
 baseline that disagrees with the served bytes.
 """
 
+import time
 from contextlib import ExitStack
 
 import numpy as np
@@ -137,7 +138,27 @@ def test_a_client_error_names_its_client_and_skips_the_disruption(asr):
         result = drills.soak(drills.in_process_target(server),
                              Failing(asr, SESSIONS, FRAMES),
                              lambda: fired.append(True))
-    assert result.errors[0] == "stream 2: boom"
+    # Only the root cause: the other clients' broken midpoint waits are
+    # its consequence, not errors of their own.
+    assert result.errors == ["stream 2: boom"]
+    assert not fired
+
+
+def test_a_barrier_timeout_still_reports_an_error(asr, monkeypatch):
+    class Late(drills.PushPlan):
+        def first(self, session, index):
+            if index == 1:
+                time.sleep(0.6)  # past the midpoint timeout below
+            return super().first(session, index)
+
+    monkeypatch.setattr(drills, "_MIDPOINT_TIMEOUT_S", 0.2)
+    fired = []
+    with asr.serve(max_batch=SESSIONS) as server:
+        result = drills.soak(drills.in_process_target(server),
+                             Late(asr, SESSIONS, FRAMES),
+                             lambda: fired.append(True))
+    assert result.errors
+    assert all("midpoint barrier broke" in error for error in result.errors)
     assert not fired
 
 
