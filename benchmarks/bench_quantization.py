@@ -3,7 +3,8 @@
 Paper: "The accuracy degradation from input/weight quantization is very
 small (i.e., <0.1%) ... 12-bit weight quantization is in general a safe
 design."  At reproduction scale the knee is the same: high widths are free,
-very low widths collapse.
+very low widths collapse.  Every point is the PER of the served fixed-point
+backend (quantized weights, inputs and spectra; 16-segment PWL σ/tanh).
 """
 
 import pytest

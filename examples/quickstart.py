@@ -5,9 +5,10 @@ The five-minute tour of the library:
 1. generate a synthetic TIMIT-like corpus and extract features;
 2. train a dense LSTM acoustic model;
 3. compress it to block-circulant form with ADMM (the E-RNN flow);
-4. quantize to 12-bit fixed point with PWL activations;
+4. compile it to the 12-bit fixed-point backend (PWL activations) and
+   score its PER;
 5. size the FPGA accelerator and print the implementation report;
-6. compile the compressed model and stream frames through a session.
+6. stream frames of the compiled model through a session.
 
 Run:  python examples/quickstart.py
 """
@@ -27,7 +28,6 @@ from repro.asr import (
 )
 from repro.api import Design
 from repro.config import RNNSpec
-from repro.hw import quantized_copy, quantized_dataset
 from repro.nn import StackedRNNClassifier
 from repro.runtime import evaluate_per
 
@@ -92,10 +92,15 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------
-    # 4. Hardware-faithful inference: 12-bit weights/inputs + PWL σ/tanh.
+    # 4. Hardware-faithful inference: compile to the fixed-point CU
+    #    backend (12-bit weights/inputs, 16-segment PWL σ/tanh) and score
+    #    the math the FPGA computes.
     # ------------------------------------------------------------------
-    hardware_model = quantized_copy(result.model, 12, pwl_segments=16)
-    quantized_per = evaluate_per(hardware_model, quantized_dataset(test, 12))
+    compiled = runtime.compile(
+        result.model, backend="fixed", weight_bits=12, pwl_segments=16,
+        phone_set=phones,
+    )
+    quantized_per = evaluate_per(compiled, test)
     print(
         f"12-bit fixed-point + PWL activations PER: {quantized_per:.2f}% "
         f"(quantization cost {quantized_per - compressed_per:+.2f})"
@@ -114,12 +119,9 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------
-    # 6. Deployment: compile to the fixed-point CU backend and stream an
-    #    utterance frame by frame (byte-identical to the batched run).
+    # 6. Deployment: stream an utterance through the same compiled model
+    #    frame by frame (byte-identical to the batched run).
     # ------------------------------------------------------------------
-    compiled = runtime.compile(
-        result.model, backend="fixed", weight_bits=12, phone_set=phones
-    )
     utterance = test.features[0][:, None, :]  # (T, 1, D)
     session = compiled.session()
     streamed = np.stack([session.push(frame) for frame in utterance])

@@ -2,7 +2,7 @@
 
 The real TIMIT corpus is LDC-licensed and unavailable offline, so this module
 synthesizes a corpus with the same *interface* and the same experimental
-levers (DESIGN.md §2): 16 kHz waveforms, per-sample phone alignments, multiple
+levers: 16 kHz waveforms, per-sample phone alignments, multiple
 "speakers" with systematic vocal-tract variation, and train/test splits with
 disjoint speakers.
 

@@ -69,7 +69,7 @@ def ese_prune_schedule(
 
 #: ESE's published KU060 utilization (Table III column 1).  ESE is an
 #: external artifact; its resource profile is taken from its publication
-#: rather than re-derived (DESIGN.md §2).
+#: rather than re-derived.
 ESE_PUBLISHED_UTILIZATION = {"dsp": 0.545, "bram": 0.877, "lut": 0.886, "ff": 0.683}
 
 

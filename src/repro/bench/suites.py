@@ -2,7 +2,7 @@
 
 Each suite times an optimized hot path against its reproducible baseline
 (the frozen seed implementations in :mod:`repro.bench.baselines`, a cold
-cache, or the serial execution mode) and asserts the outputs agree before
+cache, or a single-session loop) and asserts the outputs agree before
 reporting a speedup — a benchmark that got fast by computing something
 else is a bug, not a result.
 
@@ -269,119 +269,6 @@ def bench_engine_cache(quick: bool) -> BenchResult:
                                                     repeats=3 if quick else 5))
     _speedup(result, "speedup", "cold_build", "cached_build")
     result.metrics["engine_stats"] = engine.stats().describe()
-    return result
-
-
-# ----------------------------------------------------------------------
-@register("quantize_state")
-def bench_quantize_state(quick: bool) -> BenchResult:
-    """Format-fit caching across a quantization sweep's bit widths."""
-    from repro.config import RNNSpec
-    from repro.hw.quantize import FitStatsCache, quantize_state
-    from repro.nn.rnn import StackedRNNClassifier
-
-    layers = (64,) if quick else (512, 512)
-    spec = RNNSpec(
-        cell_type="lstm", layer_sizes=layers,
-        block_sizes=tuple(8 for _ in layers),
-        input_size=39, output_size=10,
-    )
-    model = StackedRNNClassifier(spec, structured=True,
-                                 rng=np.random.default_rng(0))
-    state = model.state_dict()
-    bits_list = (16, 14, 12, 10, 8, 6)
-
-    def uncached() -> list:
-        return [quantize_state(state, bits)[0] for bits in bits_list]
-
-    def cached() -> list:
-        fit_cache = FitStatsCache()
-        return [quantize_state(state, bits, fit_cache)[0] for bits in bits_list]
-
-    for got, want in zip(cached(), uncached()):
-        for name in want:
-            assert np.array_equal(got[name], want[name])
-
-    result = BenchResult(
-        "quantize_state",
-        quick=quick,
-        notes=(
-            f"{len(state)}-parameter state dict quantized at "
-            f"{len(bits_list)} bit widths; cached == uncached asserted"
-        ),
-        metrics={"parameters": len(state), "bit_widths": len(bits_list)},
-    )
-    repeats = 3 if quick else 10
-    result.add_timing("refit_every_width",
-                      time_callable(uncached, repeats=repeats))
-    result.add_timing("stats_cache",
-                      time_callable(cached, repeats=repeats))
-    _speedup(result, "speedup", "refit_every_width", "stats_cache")
-    return result
-
-
-# ----------------------------------------------------------------------
-@register("per_eval")
-def bench_per_eval(quick: bool) -> BenchResult:
-    """Serial vs threaded batch PER evaluation on a synthetic corpus."""
-    from repro.asr.features import FeatureConfig, FeatureExtractor
-    from repro.asr.phones import PhoneSet
-    from repro.asr.pipeline import prepare_dataset
-    from repro.runtime import evaluate_per
-    from repro.asr.timit import CorpusConfig, SyntheticTIMIT
-    from repro.config import RNNSpec
-    from repro.nn.rnn import StackedRNNClassifier
-
-    phones = PhoneSet.folded().subset(8)
-    corpus = SyntheticTIMIT(
-        CorpusConfig(
-            phone_set=phones,
-            num_speakers=2 if quick else 6,
-            utterances_per_speaker=4,
-            test_speakers=1,
-            sample_rate=8000,
-            phones_per_utterance=(3, 5) if quick else (6, 9),
-            seed=11,
-        )
-    )
-    extractor = FeatureExtractor(FeatureConfig(sample_rate=8000))
-    extractor.fit_normalizer(corpus.train)
-    dataset = prepare_dataset(corpus.train, extractor, phones)
-    spec = RNNSpec(
-        cell_type="lstm", layer_sizes=(64,), block_sizes=(4,),
-        input_size=dataset.feature_dim, output_size=len(phones),
-    )
-    model = StackedRNNClassifier(spec, structured=True,
-                                 rng=np.random.default_rng(0))
-
-    serial_per = evaluate_per(model, dataset, batch_size=4)
-    parallel_per = evaluate_per(model, dataset, batch_size=4, workers=4)
-    assert serial_per == parallel_per, "workers changed the PER"
-
-    result = BenchResult(
-        "per_eval",
-        quick=quick,
-        notes=(
-            f"{dataset.num_utterances}-utterance synthetic corpus; serial "
-            "and 4-worker PER asserted equal (thread workers only pay off "
-            "with more than one CPU — see environment.cpus)"
-        ),
-        metrics={"utterances": dataset.num_utterances, "per": serial_per},
-    )
-    repeats = 2 if quick else 3
-    result.add_timing(
-        "serial",
-        time_callable(lambda: evaluate_per(model, dataset, batch_size=4),
-                      repeats=repeats),
-    )
-    result.add_timing(
-        "threads_4",
-        time_callable(
-            lambda: evaluate_per(model, dataset, batch_size=4, workers=4),
-            repeats=repeats,
-        ),
-    )
-    _speedup(result, "speedup", "serial", "threads_4")
     return result
 
 

@@ -1,4 +1,4 @@
-"""Ablations for the design choices DESIGN.md calls out.
+"""Ablations for the paper's design choices.
 
 * :func:`admm_vs_direct` — the paper's central training claim (Sec. VIII-B2):
   ADMM from a pretrained model degrades accuracy less than training the
@@ -9,7 +9,8 @@
   one at a time.
 * :func:`quantization_ablation` — the Sec. VII-D bit-width sweep on a
   trained model (12 bits should cost < ~0.1% at paper scale; small scale
-  shows the same knee).
+  shows the same knee), scored by :func:`quantization_sweep` on the served
+  fixed-point backend.
 * :func:`phase1_trial_count` — Phase I's headline: ~5 training trials
   instead of a full grid.
 """
@@ -18,17 +19,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.asr.pipeline import PreparedDataset
 from repro.config import RNNSpec
 from repro.core.cost_model import layer_multiplications
 from repro.core.phase1 import PhaseIConfig, PhaseIOptimizer, PhaseIResult
 from repro.experiments.common import ExperimentHarness
-from repro.hw.quantize import quantization_sweep
 from repro.nn.rnn import StackedRNNClassifier
+from repro.runtime import compile as compile_model, evaluate_per
 
 __all__ = [
     "AdmmAblation",
     "admm_vs_direct",
     "decoupling_ablation",
+    "quantization_sweep",
     "quantization_ablation",
     "phase1_trial_count",
 ]
@@ -97,6 +100,35 @@ def decoupling_ablation(
         "dense (block 1)": float(layer_size * layer_size),
     }
     return variants
+
+
+def quantization_sweep(
+    model: StackedRNNClassifier,
+    dataset: PreparedDataset,
+    bits_list: tuple[int, ...] = (16, 14, 12, 10, 8, 6),
+    pwl_segments: int = 16,
+) -> dict[int, float]:
+    """PER of the served fixed-point backend at each bit width.
+
+    Each entry scores ``compile(model, "fixed", weight_bits=bits,
+    pwl_segments=pwl_segments)`` — the CU emulation that serving runs:
+    weights, inputs and spectra quantized at ``bits``, σ/tanh evaluated as
+    ``pwl_segments``-segment PWL tables.  A dense model raises
+    :class:`~repro.errors.ConfigError` from ``compile``.
+    """
+    return {
+        bits: evaluate_per(
+            compile_model(
+                model,
+                "fixed",
+                weight_bits=bits,
+                pwl_segments=pwl_segments,
+                cache=False,
+            ),
+            dataset,
+        )
+        for bits in bits_list
+    }
 
 
 def quantization_ablation(

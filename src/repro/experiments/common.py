@@ -14,8 +14,10 @@ RNNs.  The harness keeps that affordable and reproducible:
   and concurrent benchmark runs share one atomic-rename-safe store.
 
 Scale: layer sizes are the paper's ÷16 (1024→64, 512→32, 256→16) so numpy
-training finishes in minutes; block sizes are the paper's own.  DESIGN.md §2
-records why this preserves the orderings Tables I-II assert.
+training finishes in minutes; block sizes are the paper's own.  The claims
+checked against Tables I-II are orderings between configurations trained
+under one budget, not absolute PERs, so a uniform scale keeps them
+comparable.
 """
 
 from __future__ import annotations

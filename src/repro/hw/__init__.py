@@ -1,4 +1,4 @@
-"""Hardware substrate: FPGA platform, PE/CU/accelerator, quantization, power."""
+"""Hardware substrate: FPGA platform, PE/CU/accelerator, fixed point, power."""
 
 from repro.hw.accelerator import (
     DEFAULT_NUM_CUS,
@@ -36,14 +36,6 @@ from repro.hw.platform import (
     get_platform,
 )
 from repro.hw.power import OFFCHIP_SUBSYSTEM_WATTS, energy_efficiency, power_watts
-from repro.hw.quantize import (
-    apply_pwl_activations,
-    quantization_sweep,
-    quantize_features,
-    quantize_state,
-    quantized_copy,
-    quantized_dataset,
-)
 from repro.hw.report import ImplementationReport, format_table
 
 __all__ = [
@@ -85,12 +77,6 @@ __all__ = [
     "OFFCHIP_SUBSYSTEM_WATTS",
     "energy_efficiency",
     "power_watts",
-    "apply_pwl_activations",
-    "quantization_sweep",
-    "quantize_features",
-    "quantize_state",
-    "quantized_copy",
-    "quantized_dataset",
     "ImplementationReport",
     "format_table",
 ]

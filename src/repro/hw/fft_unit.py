@@ -54,7 +54,7 @@ class FFTUnit:
 
         LUT: two adders per butterfly stage plus twiddle ROM mux;
         FF: stage pipeline registers.  Constants calibrated as part of the
-        PE-level fit in :mod:`repro.hw.pe` (DESIGN.md §5).
+        PE-level fit in :mod:`repro.hw.pe`.
         """
         lut = self.stages * 6 * self.bits + 40
         ff = self.stages * 4 * self.bits + 2 * self.bits

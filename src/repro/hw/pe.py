@@ -5,8 +5,8 @@ are pre-transformed in BRAM, Sec. V-A1), element-wise complex multiplication
 against the stored spectrum, accumulation, and — after the accumulation,
 thanks to FFT/IFFT decoupling — one IFFT per output block.
 
-Resource model (calibrated once, DESIGN.md §5, then held fixed across every
-configuration and platform):
+Resource model (calibrated once, then held fixed across every configuration
+and platform):
 
 * ``ΔDSP = 2·Lb + 3·max(log2 Lb − 2, 1)`` — ``2·Lb`` element-wise multiplier
   lanes (a Hermitian half-spectrum product is ``2·Lb − 2`` real mults, giving

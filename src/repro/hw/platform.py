@@ -94,9 +94,9 @@ class ResourceVector:
         )
 
 
-# Table IV rows.  Power constants are the one calibrated element (DESIGN.md
-# §5): fit so the five published 7V3 board measurements and ESE's 41 W
-# reproduce within ~10%, then held fixed across every configuration.
+# Table IV rows.  Power constants are the one calibrated element: fit so the
+# five published 7V3 board measurements and ESE's 41 W reproduce within
+# ~10%, then held fixed across every configuration.
 ADM_PCIE_7V3 = FPGAPlatform(
     name="ADM-PCIE-7V3",
     dsp=3600,

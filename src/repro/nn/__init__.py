@@ -1,7 +1,7 @@
 """Neural-network training substrate: numpy autograd, RNN cells, optimizers.
 
 This package is the from-scratch replacement for the PyTorch training stack
-the paper's authors used.  See DESIGN.md §2 for the substitution rationale.
+the paper's authors used, so every model trains on numpy alone.
 """
 
 from repro.nn.autograd import (

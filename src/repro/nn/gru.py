@@ -55,16 +55,6 @@ class GRUCell(Module):
         self.w_cc = make_weight_layer(hidden_size, hidden_size, block_size, rng)
         self.bias_c = Parameter(zeros((hidden_size,)))
 
-        # Inference-time activation overrides (see LSTMCell).
-        self.sigmoid_fn = None
-        self.tanh_fn = None
-
-    def _sigmoid(self, x: Tensor) -> Tensor:
-        return x.sigmoid() if self.sigmoid_fn is None else self.sigmoid_fn(x)
-
-    def _tanh(self, x: Tensor) -> Tensor:
-        return x.tanh() if self.tanh_fn is None else self.tanh_fn(x)
-
     # ------------------------------------------------------------------
     def initial_state(self, batch_size: int) -> Tensor:
         return Tensor(np.zeros((batch_size, self.hidden_size)))
@@ -74,12 +64,12 @@ class GRUCell(Module):
         hidden = self.hidden_size
 
         gates = self.w_zr_x(x) + self.w_zr_c(c_prev) + self.bias_zr
-        update_gate = self._sigmoid(gates[..., 0:hidden])  # z_t
-        reset_gate = self._sigmoid(gates[..., hidden : 2 * hidden])  # r_t
+        update_gate = gates[..., 0:hidden].sigmoid()  # z_t
+        reset_gate = gates[..., hidden : 2 * hidden].sigmoid()  # r_t
 
-        reset_state = self._tanh(
+        reset_state = (
             self.w_cx(x) + self.w_cc(reset_gate * c_prev) + self.bias_c
-        )  # c̃_t
+        ).tanh()  # c̃_t
         cell = (1.0 - update_gate) * c_prev + update_gate * reset_state
         return cell, cell
 

@@ -105,18 +105,6 @@ class LSTMCell(Module):
                 hidden_size, projection_size, self.input_block_size, rng
             )
 
-        # Inference-time activation overrides (hardware PWL approximations,
-        # installed by repro.hw.quantize.apply_pwl_activations).  None means
-        # the exact autograd-capable activations.
-        self.sigmoid_fn = None
-        self.tanh_fn = None
-
-    def _sigmoid(self, x: Tensor) -> Tensor:
-        return x.sigmoid() if self.sigmoid_fn is None else self.sigmoid_fn(x)
-
-    def _tanh(self, x: Tensor) -> Tensor:
-        return x.tanh() if self.tanh_fn is None else self.tanh_fn(x)
-
     # ------------------------------------------------------------------
     def initial_state(self, batch_size: int) -> tuple[Tensor, Tensor]:
         """Zero ``(y, c)`` state (paper: "c_t and m_t are initialized to zero")."""
@@ -141,20 +129,20 @@ class LSTMCell(Module):
             z_i = z_i + self.peep_ic(c_prev)
             z_f = z_f + self.peep_fc(c_prev)
 
-        input_gate = self._sigmoid(z_i)
-        forget_gate = self._sigmoid(z_f)
+        input_gate = z_i.sigmoid()
+        forget_gate = z_f.sigmoid()
         if self.candidate_activation == "tanh":
-            candidate = self._tanh(z_g)
+            candidate = z_g.tanh()
         else:
-            candidate = self._sigmoid(z_g)
+            candidate = z_g.sigmoid()
 
         cell = forget_gate * c_prev + candidate * input_gate
 
         if self.peephole:
             z_o = z_o + self.peep_oc(cell)
-        output_gate = self._sigmoid(z_o)
+        output_gate = z_o.sigmoid()
 
-        cell_output = output_gate * self._tanh(cell)  # m_t = o_t ⊙ h(c_t)
+        cell_output = output_gate * cell.tanh()  # m_t = o_t ⊙ h(c_t)
         if self.projection_size is not None:
             output = self.w_ym(cell_output)  # y_t = W_ym m_t
         else:

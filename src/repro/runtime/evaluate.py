@@ -30,7 +30,7 @@ def as_compiled(model: Any, backend: str = "float", **options: Any) -> Any:
     """Coerce a model (or pass through a :class:`CompiledModel`) for eval.
 
     Raw models are compiled *uncached*: experiment sweeps evaluate many
-    throwaway models (Phase-I trials, per-bit-width quantized copies), and
+    throwaway models (Phase-I trials, one per harness measurement), and
     pinning each one's full weight snapshot in the process-wide engine LRU
     would trade real memory for warmth nothing comes back for.  Callers
     that evaluate the same weights repeatedly should compile once and pass
@@ -62,8 +62,7 @@ def _score_batch(
 ) -> tuple[list[list[str]], list[list[str]]]:
     """Forward + decode one batch → (hypotheses, references).
 
-    Runs through ``CompiledModel.run`` — stateless per batch and
-    thread-safe, so the worker pool needs no grad-mode bookkeeping.
+    Runs through ``CompiledModel.run``, which is stateless per batch.
     """
     from repro.asr.decoder import collapse_repeats
 
@@ -119,7 +118,6 @@ def evaluate_per(
     dataset: Any,
     decoder: Any = None,
     batch_size: int = 8,
-    workers: int | None = None,
     transport: str = "inprocess",
     address: tuple[str, int] | None = None,
 ) -> float:
@@ -131,11 +129,6 @@ def evaluate_per(
     (length-bucketed, no shuffling), and the hypothesis/reference pairing
     is re-derived from each decoded batch's frame labels, so PER is exact
     regardless of bucketing.
-
-    ``workers`` > 1 scores batches through a thread pool (the forward
-    pass is numpy-heavy and releases the GIL in BLAS/FFT); results are
-    gathered in batch order, so the returned PER is identical to the
-    serial path.
 
     ``transport="net"`` scores the *served* math: every utterance streams
     through a :class:`repro.runtime.net.Client` session — against
@@ -163,25 +156,10 @@ def evaluate_per(
     compiled = as_compiled(model)
     if decoder is None:
         decoder = FrameDecoder(dataset.phone_set)
-    if workers is not None and workers > 1:
-        from repro.core.parallel import map_ordered
-
-        scored = map_ordered(
-            lambda batch: _score_batch(
-                compiled, decoder, dataset.phone_set, batch
-            ),
-            _iter_eval_batches(dataset, batch_size),
-            mode="thread",
-            workers=workers,
-        )
-    else:
-        scored = (
-            _score_batch(compiled, decoder, dataset.phone_set, batch)
-            for batch in _iter_eval_batches(dataset, batch_size)
-        )
     references: list[list[str]] = []
     hypotheses: list[list[str]] = []
-    for hyps, refs in scored:
+    for batch in _iter_eval_batches(dataset, batch_size):
+        hyps, refs = _score_batch(compiled, decoder, dataset.phone_set, batch)
         hypotheses.extend(hyps)
         references.extend(refs)
     return corpus_error_rate(references, hypotheses)

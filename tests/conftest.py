@@ -15,6 +15,7 @@ from repro.asr.phones import PhoneSet
 from repro.asr.pipeline import TrainConfig, prepare_dataset, train_model
 from repro.asr.timit import CorpusConfig, SyntheticTIMIT
 from repro.config import RNNSpec
+from repro.core.flow import ernn_compress
 from repro.nn.rnn import StackedRNNClassifier
 
 
@@ -91,3 +92,17 @@ def trained_dense(micro_spec, micro_datasets) -> StackedRNNClassifier:
         TrainConfig(epochs=4, batch_size=4, learning_rate=5e-3, seed=5),
     )
     return model
+
+
+@pytest.fixture(scope="session")
+def structured_model(trained_dense, micro_datasets) -> StackedRNNClassifier:
+    """``trained_dense`` ADMM-compressed to block 4: the fixed backend's input."""
+    train, _ = micro_datasets
+    result = ernn_compress(
+        trained_dense,
+        trained_dense.spec.with_block_sizes((4,)),
+        train,
+        admm_train=TrainConfig(epochs=2, learning_rate=2e-3),
+        retrain=TrainConfig(epochs=3, learning_rate=2e-3),
+    )
+    return result.model

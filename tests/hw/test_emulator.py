@@ -6,25 +6,11 @@ import pytest
 from repro.asr.pipeline import TrainConfig, train_model
 from repro.runtime import evaluate_per
 from repro.config import RNNSpec
-from repro.core.flow import ernn_compress
 from repro.errors import ConfigError
 from repro.hw.emulator import CUEmulator, SpectralWeights
 from repro.nn.autograd import no_grad
 from repro.nn.circulant_layer import CirculantLinear
 from repro.nn.rnn import StackedRNNClassifier
-
-
-@pytest.fixture(scope="module")
-def structured_model(trained_dense, micro_datasets):
-    train, _ = micro_datasets
-    result = ernn_compress(
-        trained_dense,
-        trained_dense.spec.with_block_sizes((4,)),
-        train,
-        admm_train=TrainConfig(epochs=2, learning_rate=2e-3),
-        retrain=TrainConfig(epochs=3, learning_rate=2e-3),
-    )
-    return result.model
 
 
 class TestSpectralWeights:

@@ -1,93 +1,55 @@
-"""Model quantization pass: round trips, PWL swapping, degradation sweep."""
+"""Sec. VII-D sweep: scored on the served fixed-point backend, PWL included."""
 
 import numpy as np
 import pytest
 
-from repro.runtime import evaluate_per
-from repro.hw.quantize import (
-    apply_pwl_activations,
-    quantization_sweep,
-    quantize_features,
-    quantize_state,
-    quantized_copy,
-    quantized_dataset,
-)
-from repro.nn.autograd import no_grad
+from repro.errors import ConfigError
+from repro.experiments.ablations import quantization_sweep
+from repro.runtime import compile, evaluate_per
 
 
-class TestQuantizeState:
-    def test_all_parameters_on_grid(self, trained_dense):
-        state, formats = quantize_state(trained_dense.state_dict(), 10)
-        for name, values in state.items():
-            fmt = formats[name]
-            assert np.allclose(fmt.quantize(values), values)
-
-    def test_error_bounded(self, trained_dense):
-        original = trained_dense.state_dict()
-        state, formats = quantize_state(original, 12)
-        for name in state:
-            error = np.max(np.abs(state[name] - original[name]))
-            assert error <= 0.5 * formats[name].resolution + 1e-15
+def served(model, bits, segments):
+    return compile(
+        model, "fixed", weight_bits=bits, pwl_segments=segments, cache=False
+    )
 
 
-class TestQuantizedCopy:
-    def test_copy_structure_matches(self, trained_dense):
-        copy = quantized_copy(trained_dense, 12)
-        assert copy.spec == trained_dense.spec
-        assert set(dict(copy.named_parameters())) == set(
-            dict(trained_dense.named_parameters())
+class TestQuantizationSweep:
+    @pytest.mark.parametrize("segments", [4, 64])
+    def test_sweep_is_the_served_fixed_backend(
+        self, structured_model, micro_datasets, segments
+    ):
+        _, test = micro_datasets
+        sweep = quantization_sweep(
+            structured_model, test, (16, 12), pwl_segments=segments
         )
+        assert list(sweep) == [16, 12]
+        for bits, per in sweep.items():
+            assert per == evaluate_per(
+                served(structured_model, bits, segments), test
+            )
 
-    def test_original_untouched(self, trained_dense):
-        before = trained_dense.state_dict()
-        quantized_copy(trained_dense, 6)
-        after = trained_dense.state_dict()
-        for name in before:
-            assert np.array_equal(before[name], after[name])
-
-    def test_outputs_close_at_12_bits(self, trained_dense, micro_datasets):
+    def test_pwl_segments_reach_the_logits(
+        self, structured_model, micro_datasets
+    ):
+        """An accuracy path that drops PWL makes the segment count invisible."""
         _, test = micro_datasets
-        copy = quantized_copy(trained_dense, 12)
         x = test.features[0][:, None, :]
-        with no_grad():
-            a = trained_dense(x).data
-            b = copy(x).data
-        assert np.max(np.abs(a - b)) < 0.2
+        coarse = served(structured_model, 16, 4).run(x)
+        fine = served(structured_model, 16, 64).run(x)
+        assert not np.array_equal(coarse, fine)
 
-    def test_pwl_activations_installed(self, trained_dense):
-        copy = quantized_copy(trained_dense, 12, pwl_segments=16)
-        assert copy.cells[0].sigmoid_fn is not None
-        assert copy.cells[0].tanh_fn is not None
-
-    def test_pwl_model_still_runs(self, trained_dense, micro_datasets):
+    def test_dense_model_rejected(self, trained_dense, micro_datasets):
+        """The hardware is block-circulant: no silent fall back to float."""
         _, test = micro_datasets
-        copy = apply_pwl_activations(quantized_copy(trained_dense, 12), 16)
-        per = evaluate_per(copy, test)
-        assert 0 <= per <= 200
+        with pytest.raises(ConfigError):
+            quantization_sweep(trained_dense, test, (12,))
 
-
-class TestFeatureQuantization:
-    def test_features_on_grid(self, rng):
-        features = rng.standard_normal((20, 8))
-        quantized = quantize_features(features, 10)
-        assert np.max(np.abs(quantized - features)) < 0.1
-
-    def test_dataset_quantization_preserves_labels(self, micro_datasets):
-        _, test = micro_datasets
-        quantized = quantized_dataset(test, 12)
-        assert quantized.frame_labels is test.frame_labels
-        assert quantized.phone_sequences is test.phone_sequences
-
-
-class TestSweep:
-    def test_sweep_shape_and_degradation_knee(self, trained_dense, micro_datasets):
+    def test_degradation_knee(self, structured_model, micro_datasets):
         """Sec. VII-D: high bit widths cost ~nothing; very low widths blow up."""
         _, test = micro_datasets
-        float_per = evaluate_per(trained_dense, test)
-        sweep = quantization_sweep(
-            trained_dense, test, bits_list=(16, 12, 4), pwl_segments=None
-        )
-        assert set(sweep) == {16, 12, 4}
+        float_per = evaluate_per(structured_model, test)
+        sweep = quantization_sweep(structured_model, test, (16, 12, 4))
         # The micro test set quantizes PER in ~6% steps (one token); allow
         # one-token noise around the float PER at high bit widths.
         one_token = 7.0

@@ -82,13 +82,13 @@ class TestBench:
 
     def test_quick_suite_writes_artifact(self, capsys, tmp_path):
         code = main([
-            "bench", "--quick", "--only", "quantize_state",
+            "bench", "--quick", "--only", "engine_cache",
             "--out-dir", str(tmp_path),
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "speedup" in out
-        artifact = tmp_path / "BENCH_quantize_state.json"
+        artifact = tmp_path / "BENCH_engine_cache.json"
         assert artifact.exists()
         import json
 
@@ -96,7 +96,7 @@ class TestBench:
 
     def test_no_json_skips_artifact(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["bench", "--quick", "--only", "quantize_state",
+        assert main(["bench", "--quick", "--only", "engine_cache",
                      "--no-json"]) == 0
         assert not list(tmp_path.glob("BENCH_*.json"))
 

@@ -1,22 +1,21 @@
 """End-to-end integration: the whole paper pipeline on a micro corpus.
 
-Corpus -> features -> dense training -> ADMM compression -> quantization +
-PWL activations -> hardware sizing -> Phase I/II — every subsystem touching
-every other, at a scale that finishes in seconds.
+Corpus -> features -> dense training -> ADMM compression -> fixed-point CU
+emulation (quantization + PWL activations) -> hardware sizing -> Phase I/II
+— every subsystem touching every other, at a scale that finishes in seconds.
 """
 
 import numpy as np
 import pytest
 
 from repro.asr.pipeline import TrainConfig, train_model
-from repro.runtime import evaluate_per
+from repro.runtime import compile, evaluate_per
 from repro.config import AccelSpec, RNNSpec
 from repro.core.admm import ADMMConfig
 from repro.core.flow import ernn_compress
 from repro.core.phase2 import PhaseIIConfig, PhaseIIOptimizer
 from repro.hls.framework import build_hls
 from repro.hw.accelerator import build_design
-from repro.hw.quantize import quantized_copy, quantized_dataset
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +44,10 @@ class TestTrainCompressEvaluate:
 
     def test_quantized_compressed_model(self, compressed, micro_datasets):
         _, test = micro_datasets
-        hardware_model = quantized_copy(compressed, 12, pwl_segments=16)
-        per = evaluate_per(hardware_model, quantized_dataset(test, 12))
+        hardware = compile(
+            compressed, "fixed", weight_bits=12, pwl_segments=16, cache=False
+        )
+        per = evaluate_per(hardware, test)
         float_per = evaluate_per(compressed, test)
         assert abs(per - float_per) < 30.0  # one-token noise at micro scale
 
@@ -67,8 +68,11 @@ class TestHardwarePath:
         float_per = evaluate_per(compressed, test)
 
         def quant_eval(bits: int) -> float:
-            model = quantized_copy(compressed, bits, pwl_segments=16)
-            return evaluate_per(model, quantized_dataset(test, bits))
+            hardware = compile(
+                compressed, "fixed", weight_bits=bits, pwl_segments=16,
+                cache=False,
+            )
+            return evaluate_per(hardware, test)
 
         result = PhaseIIOptimizer(
             compressed.spec,
