@@ -113,8 +113,11 @@ def quantization_sweep(
     Each entry scores ``compile(model, "fixed", weight_bits=bits,
     pwl_segments=pwl_segments)`` — the CU emulation that serving runs:
     weights, inputs and spectra quantized at ``bits``, σ/tanh evaluated as
-    ``pwl_segments``-segment PWL tables.  A dense model raises
-    :class:`~repro.errors.ConfigError` from ``compile``.
+    ``pwl_segments``-segment PWL tables.  Utterances are scored one at a
+    time (``batch_size=1``): a width-B batch would fit each frame's formats
+    across B utterances, math that serving's row-isolated ``step_rows``
+    never runs.  A dense model raises :class:`~repro.errors.ConfigError`
+    from ``compile``.
     """
     return {
         bits: evaluate_per(
@@ -126,6 +129,7 @@ def quantization_sweep(
                 cache=False,
             ),
             dataset,
+            batch_size=1,
         )
         for bits in bits_list
     }

@@ -19,9 +19,13 @@ hardware would compute the same PER the accuracy experiments measured.
 Two execution strategies share one numerical definition:
 
 * :meth:`CUEmulator.forward` (default) is **batched**: per layer, the
-  input-to-hidden spectral products for all ``T`` frames are hoisted into
-  one pass of the grouped kernel :meth:`SpectralWeights._matvec_groups`
-  before the recurrent loop (the cuDNN restructuring).
+  input-to-hidden spectral products are hoisted out of the recurrence (the
+  cuDNN restructuring), one chunk of about :data:`CHUNK_ROWS` rows (frames
+  × batch) at a time: each chunk's products come from one pass of the
+  grouped kernel :meth:`SpectralWeights._matvec_groups`, and the chunk's
+  recurrent steps consume them while they are still in cache.  The whole
+  ``(T, B, 4H)`` gate buffer never exists, as on the CU, whose working
+  set is one frame's.
 * :meth:`CUEmulator.forward_reference` is the **per-frame oracle**: the
   straightforward frame-major loop calling :meth:`SpectralWeights.matvec`
   once per matrix per frame.
@@ -57,7 +61,31 @@ from repro.hw.fixed_point import (
 from repro.nn.circulant_layer import CirculantLinear
 from repro.nn.rnn import StackedRNNClassifier
 
-__all__ = ["SpectralWeights", "CUEmulator"]
+__all__ = ["SpectralWeights", "CUEmulator", "CHUNK_ROWS"]
+
+
+#: Rows (frames × batch) of input-to-hidden products that
+#: :meth:`CUEmulator.forward` hoists into one grouped pass before it runs
+#: their recurrent steps; a chunk is ``max(1, CHUNK_ROWS // B)`` frames.
+#: Measured at the paper's Table I scale (LSTM-1024, block 8, peephole,
+#: projection 512, T=300, B=8; 2-vCPU Xeon with 2 MiB L2 per core, one
+#: BLAS thread), CPU ms per frame, median of 7 batches in one process:
+#:
+#: ====== ===== ===== ===== ===== ===== ===== ===== ======================
+#: rows   8     16    32    64    128   256   512   2400 (whole sequence)
+#: ms     0.311 0.321 0.308 0.286 0.324 0.321 0.340 0.412
+#: ====== ===== ===== ===== ===== ===== ===== ===== ======================
+#:
+#: against 0.343 for the one-pass hoist over all frames this replaced
+#: (batch-to-batch spread about ±0.03 ms).  From 8 to 256 rows the cost is
+#: flat; 64 sits in the middle.  A 64-row chunk's gate products are 2 MB
+#: at 4H = 4096, about one L2, where the whole sequence's were 79 MB.
+CHUNK_ROWS = 64
+
+
+def _chunk_frames(batch: int) -> int:
+    """Frames per hoisted chunk at batch width ``batch``."""
+    return max(1, CHUNK_ROWS // max(batch, 1))
 
 
 #: float64 represents every integer of magnitude up to 2**53 exactly.
@@ -239,7 +267,7 @@ class SpectralWeights:
         return out.reshape(x.shape[:-1] + (self.out_features,))
 
     def matvec_frames(self, x: np.ndarray, bits: int) -> np.ndarray:
-        """Hoisted product for a whole ``(T, B, in)`` sequence at once.
+        """Hoisted product for a ``(T, B, in)`` run of frames at once.
 
         Byte-identical to calling :meth:`matvec` frame by frame: each frame
         is one group of the kernel, so its formats are fit over that frame
@@ -399,10 +427,13 @@ class CUEmulator:
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """(T, B, D) features → (T, B, C) logits, hardware-faithfully.
 
-        Layer-major: for each layer, the input-to-hidden spectral products
-        of all frames are computed in one hoisted pass, then the recurrent
-        loop consumes them.  Byte-identical to
-        :meth:`forward_reference` (test-enforced).
+        Layer-major: each layer walks the sequence in chunks of
+        ``max(1, CHUNK_ROWS // B)`` frames; a chunk's input-to-hidden
+        spectral products are computed in one hoisted
+        :meth:`SpectralWeights.matvec_frames` pass, then that chunk's
+        recurrent steps consume them.  Every format is still fit per frame,
+        so the chunking cannot change a byte: the result is byte-identical
+        to :meth:`forward_reference` (test-enforced).
         """
         inputs = self._check_inputs(inputs)
         frames, batch, _ = inputs.shape
@@ -421,28 +452,37 @@ class CUEmulator:
 
     def _run_lstm_layer(self, entry: dict, value_seq: np.ndarray) -> np.ndarray:
         frames, batch = value_seq.shape[0], value_seq.shape[1]
-        wx_all = entry["w_x"].matvec_frames(value_seq, self.bits)
+        step = _chunk_frames(batch)
         y_prev = np.zeros((batch, entry["output"]), dtype=np.float64)
         c_prev = np.zeros((batch, entry["hidden"]), dtype=np.float64)
         out = np.empty((frames, batch, entry["output"]), dtype=np.float64)
-        for t in range(frames):
-            value, y_prev, c_prev = self._lstm_pointwise(
-                entry, wx_all[t], y_prev, c_prev, self._mv_step
+        for start in range(0, frames, step):
+            wx_chunk = entry["w_x"].matvec_frames(
+                value_seq[start : start + step], self.bits
             )
-            out[t] = value
+            for t, wx in enumerate(wx_chunk, start):
+                value, y_prev, c_prev = self._lstm_pointwise(
+                    entry, wx, y_prev, c_prev, self._mv_step
+                )
+                out[t] = value
         return out
 
     def _run_gru_layer(self, entry: dict, value_seq: np.ndarray) -> np.ndarray:
         frames, batch = value_seq.shape[0], value_seq.shape[1]
-        w_zr_all = entry["w_zr_x"].matvec_frames(value_seq, self.bits)
-        w_cx_all = entry["w_cx"].matvec_frames(value_seq, self.bits)
+        step = _chunk_frames(batch)
         c_prev = np.zeros((batch, entry["hidden"]), dtype=np.float64)
         out = np.empty((frames, batch, entry["hidden"]), dtype=np.float64)
-        for t in range(frames):
-            value, c_prev = self._gru_pointwise(
-                entry, w_zr_all[t], w_cx_all[t], c_prev, self._mv_step
-            )
-            out[t] = value
+        for start in range(0, frames, step):
+            chunk = value_seq[start : start + step]
+            w_zr_chunk = entry["w_zr_x"].matvec_frames(chunk, self.bits)
+            w_cx_chunk = entry["w_cx"].matvec_frames(chunk, self.bits)
+            for t, (w_zr, w_cx) in enumerate(
+                zip(w_zr_chunk, w_cx_chunk), start
+            ):
+                value, c_prev = self._gru_pointwise(
+                    entry, w_zr, w_cx, c_prev, self._mv_step
+                )
+                out[t] = value
         return out
 
     # ------------------------------------------------------------------

@@ -149,28 +149,48 @@ def quantize_groups(values: np.ndarray, total_bits: int) -> np.ndarray:
     ``FixedPointFormat.fit(values[g], total_bits).quantize(values[g])``: the
     format comes from the group's min/max through
     :func:`fit_frac_bits_from_stats`, and ``rint`` already yields integral
-    floats below 2**53, so clip-and-divide skips the int64 round trip of
+    floats below 2**53, so clip-and-scale skips the int64 round trip of
     :meth:`FixedPointFormat.to_int`/``from_int`` and lands on the same
-    values.  (A negative value that rounds to zero stays ``-0.0`` here; the
-    int64 round trip makes it ``+0.0``.)  ``values`` must be a writable
+    values.  The way back multiplies by the exact power of two
+    ``2.0 ** -f`` instead of dividing by ``2.0 ** f``: both are the
+    correctly rounded value of ``k * 2**-f``, so the bytes agree.  (A
+    negative value that rounds to zero stays ``-0.0`` here; the int64
+    round trip makes it ``+0.0``.)  One group, the shape of every
+    ``matvec_step`` call, takes a scalar path.  ``values`` must be a writable
     float64 array; it is returned.
     """
     if values.size == 0:
         raise QuantizationError("cannot fit a format to an empty array")
-    axes = tuple(range(1, values.ndim))
-    scale = np.array([
-        2.0 ** fit_frac_bits_from_stats(max(vmax, -vmin), vmin, total_bits)
-        for vmax, vmin in zip(
-            np.maximum.reduce(values, axis=axes).tolist(),
-            np.minimum.reduce(values, axis=axes).tolist(),
+    groups = values.shape[0]
+    if groups == 1:
+        vmin = float(values.min())
+        frac = fit_frac_bits_from_stats(
+            max(float(values.max()), -vmin), vmin, total_bits
         )
-    ], dtype=np.float64).reshape((-1,) + (1,) * len(axes))
+        scale: float | np.ndarray = 2.0**frac
+        inverse: float | np.ndarray = 2.0**-frac
+    else:
+        flat = values.reshape(groups, -1)
+        fracs = [
+            fit_frac_bits_from_stats(max(vmax, -vmin), vmin, total_bits)
+            for vmax, vmin in zip(
+                np.maximum.reduce(flat, axis=1).tolist(),
+                np.minimum.reduce(flat, axis=1).tolist(),
+            )
+        ]
+        shape = (-1,) + (1,) * (values.ndim - 1)
+        scale = np.array(
+            [2.0**f for f in fracs], dtype=np.float64
+        ).reshape(shape)
+        inverse = np.array(
+            [2.0**-f for f in fracs], dtype=np.float64
+        ).reshape(shape)
     values *= scale
     np.rint(values, out=values)
     # The fit's guard leaves every code of the group above min_int, so
     # only positive overflow needs saturating.
     np.minimum(values, 2.0 ** (total_bits - 1) - 1, out=values)
-    values /= scale
+    values *= inverse
     return values
 
 

@@ -1,11 +1,13 @@
 """Bit-exactness of the batched emulator against the per-frame oracle.
 
-The batched (layer-major, hoisted input products) and per-frame
-(frame-major, one matvec per matrix) execution strategies must produce
-*byte-identical* logits — quantization tolerance is not tolerated here,
-because the batched path claims to be the same computation, not a close
-one.
+The batched (layer-major, input products hoisted one chunk of frames at a
+time) and per-frame (frame-major, one matvec per matrix) execution
+strategies must produce *byte-identical* logits — quantization tolerance
+is not tolerated here, because the batched path claims to be the same
+computation, not a close one.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.config import RNNSpec
 from repro.errors import ConfigError
-from repro.hw.emulator import CUEmulator, SpectralWeights
+from repro.hw.emulator import CHUNK_ROWS, CUEmulator, SpectralWeights
 from repro.nn.circulant_layer import CirculantLinear
 from repro.nn.rnn import StackedRNNClassifier
 
@@ -72,6 +74,69 @@ class TestBatchedEqualsPerFrame:
             emulator.forward(np.zeros((4, 20)))
         with pytest.raises(ConfigError):
             emulator.forward_reference(np.zeros((4, 20)))
+
+
+def _assert_same_bytes(emulator: CUEmulator, x: np.ndarray) -> None:
+    batched = emulator.forward(x)
+    reference = emulator.forward_reference(x)
+    assert np.array_equal(batched, reference)
+    assert batched.tobytes() == reference.tobytes()
+
+
+CHUNK_SPECS = ["lstm-peep-proj", "lstm-stack", "gru-stack"]
+
+
+def _chunk_cases():
+    """``(T, B)`` around the chunk boundaries at each batch width."""
+    cases = []
+    for batch in (1, 3, 8):
+        k = max(1, CHUNK_ROWS // batch)
+        for frames in sorted({1, k - 1, k, k + 1, 2 * k + 3} - {0}):
+            cases.append((frames, batch))
+    # More rows than a chunk holds: one frame per chunk.
+    cases += [(1, CHUNK_ROWS + 1), (4, CHUNK_ROWS + 1)]
+    return cases
+
+
+class TestChunkBoundaries:
+    """``forward`` hoists input products one chunk of frames at a time."""
+
+    @pytest.mark.parametrize("name", CHUNK_SPECS)
+    @pytest.mark.parametrize("frames,batch", _chunk_cases())
+    def test_byte_identical_at_chunk_edges(self, name, frames, batch):
+        emulator = _emulator(SPECS[name])
+        x = np.random.default_rng(frames * 1000 + batch).standard_normal(
+            (frames, batch, 20)
+        )
+        _assert_same_bytes(emulator, x)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        name=st.sampled_from(CHUNK_SPECS),
+        frames=st.integers(1, 2 * CHUNK_ROWS + 5),
+        batch=st.integers(1, CHUNK_ROWS + 2),
+        seed=st.integers(0, 2**31),
+    )
+    def test_byte_identical_drawn_shape(self, name, frames, batch, seed):
+        emulator = _emulator(SPECS[name])
+        x = np.random.default_rng(seed).standard_normal((frames, batch, 20))
+        _assert_same_bytes(emulator, x)
+
+    def test_peak_memory_below_one_gate_buffer(self):
+        """The ``(T, B, 4H)`` input-product buffer is never materialised."""
+        spec = RNNSpec("lstm", 40, (256,), 39, block_sizes=(8,))
+        emulator = _emulator(spec)
+        frames, batch = 512, 8
+        x = np.random.default_rng(2).standard_normal((frames, batch, 40))
+        gate_buffer = frames * batch * 4 * 256 * 8  # float64 bytes
+        emulator.forward(x[:2])  # warm lazily built operands
+        tracemalloc.start()
+        try:
+            emulator.forward(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < gate_buffer, (peak, gate_buffer)
 
 
 class TestSpectralWeightsVariants:

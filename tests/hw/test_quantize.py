@@ -30,7 +30,7 @@ class TestQuantizationSweep:
         assert list(sweep) == [16, 12]
         for bits, per in sweep.items():
             assert per == evaluate_per(
-                served(structured_model, bits, segments), test
+                served(structured_model, bits, segments), test, batch_size=1
             )
 
     def test_pwl_segments_reach_the_logits(
@@ -160,4 +160,6 @@ class TestSweepOptions:
         )
         sweep = quantization_sweep(model, train, (12,), pwl_segments=8)
         assert 0.0 <= sweep[12] <= 200.0
-        assert sweep[12] == evaluate_per(served(model, 12, 8), train)
+        assert sweep[12] == evaluate_per(
+            served(model, 12, 8), train, batch_size=1
+        )

@@ -69,6 +69,57 @@ class TestRowwiseFit:
             quantize_groups(np.zeros((3, 0)), 12)
 
 
+def _same_bytes_up_to_negative_zero(got, want):
+    """``quantize_groups`` keeps ``-0.0`` where the int64 round trip of
+    ``FixedPointFormat.quantize`` gives ``+0.0``; adding ``+0.0`` maps the
+    former onto the latter and changes nothing else."""
+    assert (got + 0.0).tobytes() == want.tobytes()
+
+
+class TestSingleGroup:
+    """One group, the shape of every ``matvec_step`` call: a scalar path."""
+
+    def _check(self, values, bits):
+        got = quantize_groups(values[None].copy(), bits)[0]
+        want = FixedPointFormat.fit(values, bits).quantize(values)
+        _same_bytes_up_to_negative_zero(got, want)
+        return got
+
+    def test_all_zero_group(self):
+        got = self._check(np.zeros((3, 4)), 12)
+        assert not np.signbit(got).any()
+
+    @pytest.mark.parametrize("exponent", [-3, 0, 5, 11])
+    def test_negative_power_of_two_boundary(self, exponent):
+        self._check(np.array([-(2.0**exponent), 2.0**exponent / 3]), 8)
+
+    def test_tiny_peak_large_frac_bits(self):
+        values = np.array([1e-300, -3e-301, 7e-302, 0.0])
+        assert FixedPointFormat.fit(values, 16).frac_bits > 1000
+        got = self._check(values, 16)
+        assert got[0] != 0.0
+
+    def test_negative_value_rounding_to_negative_zero(self):
+        values = np.array([-1e-6, 1.0, 0.25])
+        got = self._check(values, 8)
+        assert got[0] == 0.0 and np.signbit(got[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        bits=st.integers(2, 24),
+        scale_exp=st.integers(-60, 60),
+    )
+    def test_scalar_path_equals_grouped_path(self, seed, bits, scale_exp):
+        """Byte for byte, ``-0.0`` included, the two branches agree."""
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((2, 3, 5)) * 2.0**scale_exp
+        grouped = quantize_groups(values.copy(), bits)
+        for g in range(2):
+            alone = quantize_groups(values[g : g + 1].copy(), bits)
+            assert alone[0].tobytes() == grouped[g].tobytes()
+
+
 class TestFitFromStats:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 10_000), bits=st.integers(4, 24))
