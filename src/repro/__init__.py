@@ -36,60 +36,39 @@ walkthrough, ROADMAP.md for where the system is heading, and PAPER.md for
 the source paper's abstract.
 """
 
-from repro.config import AccelSpec, RNNSpec, is_power_of_two, validate_block_size
-from repro.core import (
-    ADMMConfig,
-    ADMMTrainer,
-    BlockCirculantMatrix,
-    ERNNResult,
-    PhaseIConfig,
-    PhaseIIConfig,
-    PhaseIIOptimizer,
-    PhaseIIResult,
-    PhaseIOptimizer,
-    PhaseIResult,
-    run_two_phase_flow,
-)
-from repro.errors import (
-    BlockSizeError,
-    ConfigError,
-    DecodingError,
-    FitError,
-    QuantizationError,
-    RegistryError,
-    ReproError,
-    SchedulingError,
-    ShapeError,
-    TrainingError,
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "config": [
+            "AccelSpec", "RNNSpec", "is_power_of_two", "validate_block_size",
+        ],
+        "core": [
+            "ADMMConfig", "ADMMTrainer", "BlockCirculantMatrix", "ERNNResult",
+            "PhaseIConfig", "PhaseIIConfig", "PhaseIIOptimizer",
+            "PhaseIIResult", "PhaseIOptimizer", "PhaseIResult",
+            "run_two_phase_flow",
+        ],
+        "errors": [
+            "BlockSizeError", "ConfigError", "DecodingError", "FitError",
+            "QuantizationError", "RegistryError", "ReproError",
+            "SchedulingError", "ShapeError", "TrainingError",
+        ],
+        "api": [
+            "ACTIVATION_REGISTRY", "CELL_REGISTRY", "PLATFORM_REGISTRY",
+            "Design", "Engine", "default_engine", "register_activation",
+            "register_cell", "register_platform",
+        ],
+        "runtime": [
+            "BACKEND_REGISTRY", "CompiledModel", "Server", "Session",
+            "compile_model", "register_backend",
+        ],
+    },
+    submodules=["runtime"],
 )
 
-# The facade import sits after core/config on purpose: repro.api.design pulls
-# in the hw/hls stacks, whose modules lean on repro.core already being fully
-# initialized (the long-standing accelerator <-> core.compression cycle).
-from repro.api import (
-    ACTIVATION_REGISTRY,
-    CELL_REGISTRY,
-    PLATFORM_REGISTRY,
-    Design,
-    Engine,
-    default_engine,
-    register_activation,
-    register_cell,
-    register_platform,
-)
-
-# The runtime sits on top of nn/hw/asr and must import after them.
-from repro.runtime import (
-    BACKEND_REGISTRY,
-    CompiledModel,
-    Server,
-    Session,
-    compile_model,
-    register_backend,
-)
-from repro import runtime
-
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 __all__ = [
     "Design",

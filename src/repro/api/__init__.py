@@ -44,6 +44,7 @@ classes load on first attribute access so that low-level modules can import
 
 from __future__ import annotations
 
+from repro._lazy import attach
 from repro.api.registry import (
     ACTIVATION_REGISTRY,
     CELL_REGISTRY,
@@ -82,34 +83,20 @@ __all__ = [
     "register_activation",
 ]
 
-# Lazily-exported heavy attributes (PEP 562): importing them at body level
-# would cycle back into repro.config / repro.hw during package init.
-_LAZY = {
-    "Design": "repro.api.design",
-    "Engine": "repro.api.engine",
-    "CacheStats": "repro.api.engine",
-    "default_engine": "repro.api.engine",
-    "set_default_engine": "repro.api.engine",
-    "DiskCache": "repro.api.diskcache",
-    "default_cache_root": "repro.api.diskcache",
-    "Sweep": "repro.api.explorer",
-    "Candidate": "repro.api.explorer",
-    "PointMetrics": "repro.api.explorer",
-    "EvaluatedPoint": "repro.api.explorer",
-    "ExplorationResult": "repro.api.explorer",
-    "FitReport": "repro.api.reports",
-    "BoundsReport": "repro.api.reports",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.api' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY))
+# The heavy facade classes resolve on first access (PEP 562), so a process
+# that needs only the registries never loads the build stack.
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "design": ["Design"],
+        "engine": [
+            "Engine", "CacheStats", "default_engine", "set_default_engine",
+        ],
+        "diskcache": ["DiskCache", "default_cache_root"],
+        "explorer": [
+            "Sweep", "Candidate", "PointMetrics", "EvaluatedPoint",
+            "ExplorationResult",
+        ],
+        "reports": ["FitReport", "BoundsReport"],
+    },
+)

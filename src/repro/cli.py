@@ -30,14 +30,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-from repro.api import CELL_REGISTRY, Design
+from repro.api import CELL_REGISTRY
 from repro.errors import ReproError
+
+if TYPE_CHECKING:
+    from repro.api import Design
 
 __all__ = ["build_parser", "main"]
 
 
 def _design_from_args(args: argparse.Namespace) -> Design:
+    from repro.api import Design
+
     design = Design.cell(args.cell, *args.layers)
     if args.block is not None:
         design = design.blocks(args.block)

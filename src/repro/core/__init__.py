@@ -1,53 +1,41 @@
 """Core package: block-circulant algebra, ADMM training, design optimization."""
 
-from repro.core.admm import ADMMConfig, ADMMTrainer
-from repro.core.block_matrix import BlockCirculantMatrix
-from repro.core.ernn import ERNNResult, run_two_phase_flow
-from repro.core.phase1 import (
-    PhaseIConfig,
-    PhaseIOptimizer,
-    PhaseIResult,
-    TrainingTrial,
-)
-from repro.core.phase2 import (
-    PhaseIIConfig,
-    PhaseIIOptimizer,
-    PhaseIIResult,
-    select_pwl_segments,
-)
-from repro.core.circulant import (
-    circulant_from_first_column,
-    circulant_from_first_row,
-    circulant_matvec,
-    circulant_matvec_direct,
-    is_circulant,
-    reverse_index,
-    transpose_vector,
-)
-from repro.core.compression import (
-    PAPER_INPUT_DIM,
-    MatrixShape,
-    compression_ratio,
-    ese_effective_compression,
-    layer_matrix_params,
-    matrix_inventory,
-    total_matrix_params,
-)
-from repro.core.cost_model import (
-    ComputationBreakdown,
-    decoupling_counts,
-    elementwise_real_mults,
-    fft_complex_mults,
-    fig8_curve,
-    layer_multiplications,
-    normalized_multiplications,
-    recommended_block_upper_bound,
-)
-from repro.core.projection import (
-    circulant_distance,
-    project_block_to_circulant_vector,
-    project_to_block_circulant,
-    project_to_block_circulant_vectors,
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "admm": ["ADMMConfig", "ADMMTrainer"],
+        "block_matrix": ["BlockCirculantMatrix"],
+        "ernn": ["ERNNResult", "run_two_phase_flow"],
+        "phase1": [
+            "PhaseIConfig", "PhaseIOptimizer", "PhaseIResult", "TrainingTrial",
+        ],
+        "phase2": [
+            "PhaseIIConfig", "PhaseIIOptimizer", "PhaseIIResult",
+            "select_pwl_segments",
+        ],
+        "circulant": [
+            "circulant_from_first_column", "circulant_from_first_row",
+            "circulant_matvec", "circulant_matvec_direct", "is_circulant",
+            "reverse_index", "transpose_vector",
+        ],
+        "compression": [
+            "PAPER_INPUT_DIM", "MatrixShape", "compression_ratio",
+            "ese_effective_compression", "layer_matrix_params",
+            "matrix_inventory", "total_matrix_params",
+        ],
+        "cost_model": [
+            "ComputationBreakdown", "decoupling_counts",
+            "elementwise_real_mults", "fft_complex_mults", "fig8_curve",
+            "layer_multiplications", "normalized_multiplications",
+            "recommended_block_upper_bound",
+        ],
+        "projection": [
+            "circulant_distance", "project_block_to_circulant_vector",
+            "project_to_block_circulant", "project_to_block_circulant_vectors",
+        ],
+    },
 )
 
 __all__ = [

@@ -31,34 +31,30 @@ forward loop of ``asr.pipeline``):
 See ``docs/runtime.md`` for the walkthrough.
 """
 
-from repro.runtime.backends import (
-    BACKEND_REGISTRY,
-    BackendInfo,
-    ConformanceError,
-    Executor,
-    check_conformance,
-    register_backend,
-)
-from repro.runtime.coerce import coerce_frame, coerce_stream, coerce_tokens
-from repro.runtime.evaluate import (
-    as_compiled,
-    evaluate_frame_accuracy,
-    evaluate_per,
-    evaluate_perplexity,
-)
-from repro.runtime.model import (
-    CompiledModel,
-    LMMeta,
-    RuntimeMeta,
-    compile,
-    compile_model,
-)
-from repro.runtime.server import Server, ServerSession, ServerStats
-from repro.runtime.session import Session
-from repro.runtime.workloads import (
-    WORKLOAD_REGISTRY,
-    WorkloadInfo,
-    register_workload,
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "backends": [
+            "BACKEND_REGISTRY", "BackendInfo", "ConformanceError", "Executor",
+            "check_conformance", "register_backend",
+        ],
+        "coerce": ["coerce_frame", "coerce_stream", "coerce_tokens"],
+        "evaluate": [
+            "as_compiled", "evaluate_frame_accuracy", "evaluate_per",
+            "evaluate_perplexity",
+        ],
+        "model": [
+            "CompiledModel", "LMMeta", "RuntimeMeta", "compile",
+            "compile_model",
+        ],
+        "server": ["Server", "ServerSession", "ServerStats"],
+        "session": ["Session"],
+        "workloads": [
+            "WORKLOAD_REGISTRY", "WorkloadInfo", "register_workload",
+        ],
+    },
 )
 
 __all__ = [

@@ -6,9 +6,16 @@ rolling drain.  See ``docs/runtime.md`` ("Cluster tier") for the
 semantics and the drain runbook.
 """
 
-from repro.runtime.cluster.fleet import BackendFleet
-from repro.runtime.cluster.gateway import Gateway, backend_key
-from repro.runtime.cluster.hashring import DEFAULT_VNODES, HashRing
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "fleet": ["BackendFleet"],
+        "gateway": ["Gateway", "backend_key"],
+        "hashring": ["DEFAULT_VNODES", "HashRing"],
+    },
+)
 
 __all__ = [
     "BackendFleet",

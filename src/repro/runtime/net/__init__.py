@@ -37,20 +37,22 @@ See ``docs/runtime.md`` ("Serving over the network" and "Failure model
 notes.
 """
 
-from repro.runtime.net.client import Client, NetSession
-from repro.runtime.net.faults import FaultInjector, FaultSpec, parse_fault
-from repro.runtime.net.protocol import (
-    MAX_PROTOCOL,
-    PROTOCOL_VERSION,
-    BusyError,
-    ConnectionLostError,
-    NetError,
-    RetryableError,
-    UnknownSessionError,
-    decode_array,
-    encode_array,
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "arrays": ["decode_array", "encode_array"],
+        "client": ["Client", "NetSession"],
+        "faults": ["FaultInjector", "FaultSpec", "parse_fault"],
+        "protocol": [
+            "MAX_PROTOCOL", "PROTOCOL_VERSION", "BusyError",
+            "ConnectionLostError", "NetError", "RetryableError",
+            "UnknownSessionError",
+        ],
+        "server": ["NetServer", "route_session"],
+    },
 )
-from repro.runtime.net.server import NetServer, route_session
 
 __all__ = [
     "NetServer",

@@ -44,6 +44,7 @@ from typing import Any
 import numpy as np
 
 from repro.runtime.coerce import coerce_frame, coerce_stream, one_hot_rows
+from repro.runtime.net.arrays import decode_array, encode_array
 from repro.runtime.net.protocol import (
     BIN_DTYPE_F8,
     BIN_DTYPE_I8,
@@ -64,9 +65,7 @@ from repro.runtime.net.protocol import (
     UnknownSessionError,
     build_binary_frame,
     check_binary_header,
-    decode_array,
     dump_line,
-    encode_array,
     parse_binary_prefix,
     parse_binary_shape,
     parse_line,
@@ -419,6 +418,9 @@ class NetSession:
     overflowed journal makes state loss unrecoverable and the retryable
     error escapes instead).  :attr:`recoveries` and
     :attr:`replayed_frames` count what the machinery did.
+    :attr:`discarded_frames` counts the frames the server had applied
+    when a recovery reset them away (the ``seq`` each reset started
+    from); the server computes each of those frames twice.
     """
 
     def __init__(self, client: Client, name: str, *, retries: int = 20,
@@ -441,6 +443,7 @@ class NetSession:
         self._journal_ok = True  # False once the cap truncated it
         self.recoveries = 0
         self.replayed_frames = 0
+        self.discarded_frames = 0
         self.meta = self._open(allow_recovery=reattach)
         self._frames = int(self.meta.get("seq", 0))
         self._closed = False
@@ -555,6 +558,7 @@ class NetSession:
             # A stale partial state (the worker restarted mid-history or
             # another client advanced it): replay only works from zero.
             self._client.request("reset", session=self._name)
+            self.discarded_frames += seq
         # self._frames stays the authoritative acked count throughout: if
         # the replay itself is interrupted, the next recovery pass sees
         # server seq != self._frames and replays from zero again.

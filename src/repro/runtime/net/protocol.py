@@ -8,8 +8,10 @@ frame stay NDJSON — and moves only the hot payload path (``push``,
 raw little-endian float64 bytes, negotiated per connection inside the
 ``open`` handshake.  A v1 client never sees a single v2 byte.  The full
 specification lives in ``docs/runtime.md`` (section "Serving over the
-network"); this module is the shared encode/decode layer used by the
-server, the workers and the client, so the sides can never drift.
+network"); this module is the shared framing layer used by the
+server, the workers, the client and the gateway, so the sides can never
+drift.  The numpy array codec is :mod:`repro.runtime.net.arrays`, which
+keeps numpy off the gateway's import path.
 
 Array transport (v1 / control plane)
 ------------------------------------
@@ -58,12 +60,9 @@ from __future__ import annotations
 # bit-exact: this module is on the fixed/float byte-identity surface
 # (docs/analysis.md, REP003) — dtypes stay explicit, reductions ordered.
 
-import base64
 import json
 import struct
 from typing import Any, NamedTuple
-
-import numpy as np
 
 from repro.errors import ReproError
 
@@ -80,9 +79,6 @@ __all__ = [
     "UnknownSessionError",
     "FramingError",
     "BinaryHeader",
-    "encode_array",
-    "decode_array",
-    "token_payload_bytes",
     "dump_line",
     "parse_line",
     "error_reply",
@@ -209,128 +205,6 @@ class UnknownSessionError(NetError):
     or its worker was restarted).  A bare resend cannot succeed — the
     session must be re-opened (and its frames replayed) first, which is
     exactly what client-side reattach does."""
-
-
-def encode_array(values: np.ndarray) -> dict:
-    """Encode an array as the exact base64 form."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    return {
-        "dtype": "<f8",
-        "shape": list(values.shape),
-        "b64": base64.b64encode(
-            values.astype("<f8", copy=False).tobytes()
-        ).decode("ascii"),
-    }
-
-
-def decode_array(payload: Any) -> np.ndarray:
-    """Decode either array form (base64 dict or JSON list) to float64."""
-    if isinstance(payload, dict):
-        try:
-            if payload["dtype"] != "<f8":
-                raise NetError(
-                    f"unsupported wire dtype {payload['dtype']!r}; "
-                    "arrays travel as little-endian float64"
-                )
-            raw = base64.b64decode(payload["b64"], validate=True)
-            # asarray, not astype: on little-endian machines "<f8" IS
-            # float64, so this is a zero-copy view of the decoded bytes.
-            values = np.asarray(
-                np.frombuffer(raw, dtype="<f8"), dtype=np.float64
-            )
-            return values.reshape([int(n) for n in payload["shape"]])
-        except NetError:
-            raise
-        except (KeyError, ValueError, TypeError) as error:
-            raise NetError(f"malformed array payload: {error}") from None
-    if isinstance(payload, list):
-        try:
-            return np.asarray(payload, dtype=np.float64)
-        except (ValueError, TypeError) as error:
-            raise NetError(f"malformed array list: {error}") from None
-    raise NetError(
-        f"array payload must be a base64 dict or a list, got "
-        f"{type(payload).__name__}"
-    )
-
-
-def frame_payload_bytes(payload: Any) -> tuple[bytes, list[int]]:
-    """Raw little-endian float64 bytes + shape from a frame payload.
-
-    The server hot path: for the canonical base64 ``<f8`` form the
-    decoded bytes pass straight through to the worker with no numpy
-    round trip (just a length-vs-shape check); the JSON-list form pays
-    one conversion.
-    """
-    if isinstance(payload, dict):
-        if payload.get("dtype") != "<f8":
-            raise NetError(
-                f"unsupported wire dtype {payload.get('dtype')!r}; "
-                "arrays travel as little-endian float64"
-            )
-        try:
-            raw = base64.b64decode(payload["b64"], validate=True)
-            shape = [int(n) for n in payload["shape"]]
-        except (KeyError, ValueError, TypeError) as error:
-            raise NetError(f"malformed array payload: {error}") from None
-        count = 1
-        for dim in shape:
-            if dim < 0:  # a [-2,-4] shape would pass a product check
-                raise NetError(f"negative dimension in shape {shape}")
-            count *= dim
-        if len(raw) != 8 * count:
-            raise NetError(
-                f"frame payload carries {len(raw)} bytes for shape {shape}"
-            )
-        return raw, shape
-    values = decode_array(payload)
-    return values.astype("<f8", copy=False).tobytes(), list(values.shape)
-
-
-def token_payload_bytes(payload: Any) -> tuple[bytes, list[int]]:
-    """Raw little-endian int64 bytes + shape from a token-id payload.
-
-    The ``score`` op's JSON form: a plain list of integer token ids (or
-    the base64 dict with dtype ``"<i8"``).  Floats are rejected rather
-    than truncated — a fractional token id is a caller bug, and int64
-    keeps the 8-bytes-per-element arithmetic of the float64 frames.
-    """
-    if isinstance(payload, dict):
-        if payload.get("dtype") != "<i8":
-            raise NetError(
-                f"unsupported token dtype {payload.get('dtype')!r}; "
-                "token ids travel as little-endian int64"
-            )
-        try:
-            raw = base64.b64decode(payload["b64"], validate=True)
-            shape = [int(n) for n in payload["shape"]]
-        except (KeyError, ValueError, TypeError) as error:
-            raise NetError(f"malformed token payload: {error}") from None
-        count = 1
-        for dim in shape:
-            if dim < 0:
-                raise NetError(f"negative dimension in shape {shape}")
-            count *= dim
-        if len(raw) != 8 * count:
-            raise NetError(
-                f"token payload carries {len(raw)} bytes for shape {shape}"
-            )
-        return raw, shape
-    if isinstance(payload, list):
-        values = np.asarray(payload)  # repro: ignore[REP003] dtype probe, pinned below
-        if values.dtype == object or not (
-            values.size == 0 or np.issubdtype(values.dtype, np.integer)
-        ):
-            raise NetError(
-                "token ids must be integers (floats are rejected, not "
-                "truncated)"
-            )
-        values = np.ascontiguousarray(values, dtype=np.int64)
-        return values.astype("<i8", copy=False).tobytes(), list(values.shape)
-    raise NetError(
-        f"token payload must be a base64 dict or a list, got "
-        f"{type(payload).__name__}"
-    )
 
 
 def dump_line(message: dict) -> bytes:

@@ -59,6 +59,7 @@ from queue import Empty
 from typing import Any
 
 from repro.errors import ConfigError
+from repro.runtime.net.arrays import frame_payload_bytes, token_payload_bytes
 from repro.runtime.net.faults import coerce_faults
 from repro.runtime.net.front import BinaryFrame, Front, Journal
 from repro.runtime.net.protocol import (
@@ -74,8 +75,6 @@ from repro.runtime.net.protocol import (
     build_binary_frame,
     check_binary_header,
     error_reply,
-    frame_payload_bytes,
-    token_payload_bytes,
 )
 from repro.runtime.net.ring import (
     OP_CLOSE,

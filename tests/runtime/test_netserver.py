@@ -657,6 +657,8 @@ class TestSoak:
             _standalone(fixed_compiled, stream) for stream in streams
         ]
         results: list = [None] * clients
+        discarded = [0] * clients
+        recoveries = [0] * clients
         errors: list = []
 
         with NetServer(
@@ -671,6 +673,8 @@ class TestSoak:
                             streams[index], window=8
                         )
                         assert session.frames_pushed == frames
+                        discarded[index] = session.discarded_frames
+                        recoveries[index] = session.recoveries
                 except Exception as error:  # noqa: BLE001 — asserted below
                     errors.append(f"client {index}: {error!r}")
 
@@ -692,7 +696,11 @@ class TestSoak:
 
         assert not errors, f"soak errors: {errors}"
         served = sum(entry["stats"]["frames"] for entry in entries)
-        assert served == clients * frames  # every frame exactly once
+        # Every frame once, plus the frames a busy-overtake recovery
+        # reset away and recomputed (see the deterministic test below).
+        assert served == clients * frames + sum(discarded), (
+            f"recoveries {recoveries}, discarded frames {discarded}"
+        )
         for index in range(clients):
             assert results[index] is not None, f"stream {index} dropped"
             assert np.array_equal(results[index], expected[index]), (
@@ -705,6 +713,33 @@ class TestSoak:
             if entry["stats"]["frames"] > 0
         ]
         assert len(busy_workers) == 2
+
+    def test_busy_overtake_recomputes_exactly_the_discarded_frames(
+        self, fixed_compiled
+    ):
+        """A ``busy`` that overtakes the pipeline head forces a reset and
+        replay; the frames the server had applied and the reset threw
+        away are computed twice, and ``discarded_frames`` counts them.
+
+        Two ring slots and a held first response make it deterministic:
+        frames 1-2 take both result slots, so frame 3's ``busy`` reaches
+        the client before frame 1's result does.
+        """
+        frames = 24
+        stream = _streams(1, frames, seed=43)[0]
+        with NetServer(
+            fixed_compiled, workers=1, ring_slots=2,
+            faults="delay_publish:seconds=0.3,times=1",
+        ) as server:
+            with Client(*server.address, timeout=TIMEOUT) as client:
+                session = client.session("overtaken")
+                got = session.run(stream, window=8)
+                entries = client.stats()
+        assert session.recoveries >= 1
+        assert session.discarded_frames >= 1
+        served = sum(entry["stats"]["frames"] for entry in entries)
+        assert served == frames + session.discarded_frames
+        assert np.array_equal(got, _standalone(fixed_compiled, stream))
 
 
 def test_session_names_route_both_workers():
