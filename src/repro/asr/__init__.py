@@ -12,7 +12,6 @@ from repro.asr.pipeline import (
     train_model,
 )
 from repro.asr.timit import CorpusConfig, PhoneSegment, SyntheticTIMIT, Utterance
-from repro.asr.viterbi import BigramTransitionModel, ViterbiDecoder
 
 __all__ = [
     "FrameDecoder",
@@ -42,6 +41,4 @@ __all__ = [
     "PhoneSegment",
     "SyntheticTIMIT",
     "Utterance",
-    "BigramTransitionModel",
-    "ViterbiDecoder",
 ]

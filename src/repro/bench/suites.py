@@ -421,8 +421,10 @@ def bench_netserver(quick: bool) -> BenchResult:
     wrong bytes.
 
     Blocking pushes measure the *deployment* path (one frame in flight
-    per stream, like a live feature front-end); the micro-batching window
-    inside each worker is what coalesces concurrent clients.
+    per stream, like a live feature front-end); each worker's round loop
+    coalesces whatever rows its concurrent clients have pending, and
+    ``w{N}_mean_coalesced`` records the rows per ``step_rows`` call it
+    reached (the workers' ``stats`` over every pass).
 
     ``scaling_peak_vs_1w`` is only recorded when ``environment.cpus``
     covers the largest worker count — on a smaller box the ratio would
@@ -431,7 +433,7 @@ def bench_netserver(quick: bool) -> BenchResult:
 
     The wire-framing comparison pits the two framings' hot paths
     against each other on one worker, over the one parent↔worker path
-    (shared-memory rings, inline single-session rows).  The v1 side is
+    (shared-memory rings, one session's rows per round).  The v1 side is
     a ``max_protocol=1`` server with JSON/base64 framing, timed one push
     per round trip (its JSON ``push_many`` is recorded alongside).  The
     v2 side runs its negotiated hot path: binary framing and
@@ -504,7 +506,13 @@ def bench_netserver(quick: bool) -> BenchResult:
                 lambda: _served(target, plan, expected),
                 warmup=1, repeats=2 if quick else 3,
             )
+            with Client(*server.address, timeout=60) as admin:
+                counters = [entry["stats"] for entry in admin.stats()]
         result.add_timing(f"serve_{workers}w_wall", stats)
+        result.metrics[f"w{workers}_mean_coalesced"] = round(
+            sum(c["frames"] for c in counters)
+            / sum(c["batches"] for c in counters), 2
+        )
         latencies = np.concatenate(plan.latencies)  # of the last pass
         total = clients * frames
         fps_by_workers[workers] = round(total / stats.median_s, 1)
@@ -524,7 +532,7 @@ def bench_netserver(quick: bool) -> BenchResult:
     # Wire-framing comparison: the same single-client stream over (a) a
     # v1-only server — JSON framing, per-push wire — and (b) the v2 hot
     # path — binary framing + batched push_many.  One worker, one
-    # connection, the same shared-memory rings and inline rows behind
+    # connection, the same shared-memory rings and round loop behind
     # both: this isolates the framing and the wire batching.  Byte gates
     # run before every timed pass here too.
     # ------------------------------------------------------------------
@@ -588,7 +596,7 @@ def bench_netserver(quick: bool) -> BenchResult:
         "v1_json is a max_protocol=1 server (JSON/base64 framing, no "
         "batched binary op); v2_bin_shm is the negotiated v2 hot path "
         "(binary frames, push_many). Both run the same shared-memory "
-        "rings and inline rows. p50_push_speedup_v2_vs_v1 compares "
+        "rings and worker round loop. p50_push_speedup_v2_vs_v1 compares "
         "per-frame p50 of each framing's hot path on the same stream"
     )
 

@@ -286,9 +286,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     plan = _drill_plan(args)
     print(plan.compiled.describe())
-    with plan.compiled.serve(
-        max_batch=args.max_batch, max_delay_s=args.delay_ms / 1e3
-    ) as server:
+    window = {} if args.delay_ms is None else {
+        "max_delay_s": args.delay_ms / 1e3
+    }
+    with plan.compiled.serve(max_batch=args.max_batch, **window) as server:
         # Without --selftest this is the load demo: the same soak, no gate.
         code = drills.run_drill(drills.in_process_target(server), plan,
                                 selftest=args.selftest)
@@ -309,6 +310,11 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
     if args.lm and not args.selftest:
         print("--lm is a selftest mode (add --selftest)", file=sys.stderr)
         return 2
+    if args.delay_ms is not None:
+        print("--delay-ms sets the in-process server's batching window; "
+              "workers coalesce whatever rows are pending without waiting "
+              "(drop --port, or drop --delay-ms)", file=sys.stderr)
+        return 2
     faults = list(args.fault or [])
     if args.chaos and not faults:
         # Default chaos: every worker SIGKILLs itself once, staggered so
@@ -325,7 +331,6 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         max_batch=args.max_batch,
-        max_delay_s=args.delay_ms / 1e3,
         queue_limit=args.queue_limit,
         max_protocol=args.wire,
         spawn_timeout_s=args.spawn_timeout,
@@ -691,8 +696,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=16,
                        help="rows coalesced per backend call (default: 16)")
     serve.add_argument(
-        "--delay-ms", type=float, default=2.0,
-        help="micro-batching window in milliseconds (default: 2.0)",
+        "--delay-ms", type=float, default=None,
+        help="in-process micro-batching window in milliseconds "
+             "(default: 2.0); network serving has no window",
     )
     serve.add_argument(
         "--host", default="127.0.0.1",

@@ -1,7 +1,6 @@
 """Shared executor machinery for the repo's parallel hot paths.
 
-One helper, three consumers: the design-space :class:`repro.api.explorer.Sweep`
-(its serial/thread paths), batch PER evaluation in :mod:`repro.asr.pipeline`,
+One helper, two consumers: the design-space :class:`repro.api.explorer.Sweep`
 and the speculative Phase-I training trials of :mod:`repro.core.phase1`.
 Centralizing the pattern keeps the determinism contract in one place:
 **results always come back in submission order**, so a parallel run and a

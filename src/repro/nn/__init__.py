@@ -23,7 +23,6 @@ from repro.nn.module import Module, Parameter
 from repro.nn.optim import SGD, Adam, Optimizer, clip_grad_norm
 from repro.nn.rnn import StackedRNNClassifier, StructuredTarget, convert_to_circulant
 from repro.nn.serialization import load_model, save_model
-from repro.nn.spectral_layer import SpectralCirculantLinear
 
 __all__ = [
     "Tensor",
@@ -61,5 +60,4 @@ __all__ = [
     "convert_to_circulant",
     "load_model",
     "save_model",
-    "SpectralCirculantLinear",
 ]

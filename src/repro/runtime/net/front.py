@@ -477,13 +477,17 @@ class Front:
             pass
         finally:
             self._conns.pop(conn.id, None)
-            if task is not None:
-                self._tasks.discard(task)
             self._release_conn(conn)
             try:
                 writer.close()
-            except Exception:  # repro: ignore[REP005] reader already failed; closing a broken transport must not mask that
+                # Awaiting the close retrieves its outcome: a peer that
+                # reset the connection leaves no unretrieved exception.
+                await asyncio.wait_for(writer.wait_closed(), 1.0)
+            except Exception:  # repro: ignore[REP005] the connection is gone either way; closing must not mask why the reader ended
                 pass
+            finally:
+                if task is not None:
+                    self._tasks.discard(task)
 
     async def _handle_line(self, conn: Any, line: bytes) -> None:
         """The JSON request preamble: parse, scalar id, string op, ping."""
@@ -517,6 +521,8 @@ class Front:
         ))
 
     def _write(self, conn: Any, message: dict) -> None:
+        if conn.writer.is_closing():
+            return  # the peer left; its replies have no reader
         try:
             conn.writer.write(dump_line(message))
         except Exception:  # repro: ignore[REP005] connection torn down mid-write; the reader path cleans up

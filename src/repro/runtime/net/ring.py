@@ -12,9 +12,11 @@ slot body first and publishes ``seq = 2·index + 1`` *last*; the consumer
 verifies that exact value before trusting the body and stamps
 ``2·index + 2`` when done (``index`` is the monotonic entry number, so a
 stale or torn slot can never masquerade as ready).  Head and tail are
-single-writer 8-byte counters in the segment header — on CPython an
-aligned 8-byte ``memoryview`` store is a single memcpy, and the per-slot
-seq check backstops the ordering either way.
+single-writer 8-byte counters in the segment header, read and written
+through a ``"Q"``-cast ``memoryview``: each access is one aligned 8-byte
+copy.  ``struct.pack_into`` would not do: it zeroes its target before
+writing, so a reader racing it sees a counter of 0 (a phantom entry
+that fails the seq check below).
 
 The rings carry no wakeups of their own.  Each worker generation also
 gets two one-byte *doorbell* pipes (``multiprocessing.Pipe(duplex=False)``),
@@ -127,24 +129,22 @@ class Ring:
     def __init__(self, buf: memoryview, *, slots_offset: int,
                  counters_offset: int, nslots: int, payload_capacity: int):
         self._buf = buf
-        self._tail_off = counters_offset  # producer-owned
-        self._head_off = counters_offset + 8  # consumer-owned
+        # [0] tail (producer-owned), [1] head (consumer-owned).
+        self._counters = buf[counters_offset:counters_offset + 16].cast("Q")
         self._slots_off = slots_offset
         self.nslots = nslots
         self.payload_capacity = payload_capacity
         self._stride = _SLOT_META + payload_capacity
 
     # -- counters ------------------------------------------------------
-    def _load(self, offset: int) -> int:
-        return _U64.unpack_from(self._buf, offset)[0]
-
     def _store(self, offset: int, value: int) -> None:
+        """A slot's seq word: never read while it is being written."""
         _U64.pack_into(self._buf, offset, value)
 
     def free_slots(self) -> int:
         """Producer view: slots available right now (may only grow)."""
-        return self.nslots - (self._load(self._tail_off)
-                              - self._load(self._head_off))
+        counters = self._counters
+        return self.nslots - (counters[0] - counters[1])
 
     # -- producer ------------------------------------------------------
     def try_push(
@@ -165,9 +165,9 @@ class Ring:
         entry whose bytes travel on the queue instead — the entry still
         holds the FIFO position.
         """
-        tail = self._load(self._tail_off)
-        head = self._load(self._head_off)
-        if tail - head >= self.nslots:
+        counters = self._counters
+        tail = counters[0]
+        if tail - counters[1] >= self.nslots:
             return False
         nbytes = 0 if external or payload is None else len(payload)
         if nbytes > self.payload_capacity:
@@ -192,14 +192,15 @@ class Ring:
         if nbytes:
             self._buf[slot + _SLOT_META:slot + _SLOT_META + nbytes] = payload
         self._store(slot, 2 * tail + 1)  # publish
-        self._store(self._tail_off, tail + 1)
+        counters[0] = tail + 1
         return True
 
     # -- consumer ------------------------------------------------------
     def peek(self) -> _Entry | None:
         """Next entry, or None when the ring is empty (no side effects)."""
-        head = self._load(self._head_off)
-        if self._load(self._tail_off) == head:
+        counters = self._counters
+        head = counters[1]
+        if counters[0] == head:
             return None
         slot = self._slots_off + (head % self.nslots) * self._stride
         (seq, ticket, seq_no, emit_seq, op, flags, ndim, nbytes,
@@ -217,10 +218,10 @@ class Ring:
 
     def advance(self) -> None:
         """Retire the entry last returned by :meth:`peek` (frees its slot)."""
-        head = self._load(self._head_off)
+        head = self._counters[1]
         slot = self._slots_off + (head % self.nslots) * self._stride
         self._store(slot, 2 * head + 2)  # consumed marker (debuggability)
-        self._store(self._head_off, head + 1)
+        self._counters[1] = head + 1
 
     def corrupt_last_published(self, seq: int = 0xDEADBEEF) -> None:
         """FAULT INJECTION ONLY: scribble the seq word of the most
@@ -231,7 +232,7 @@ class Ring:
         :class:`RingError` and replace the worker.  Never call this on a
         healthy ring.
         """
-        tail = self._load(self._tail_off)
+        tail = self._counters[0]
         if tail == 0:
             return  # nothing ever published
         slot = self._slots_off + ((tail - 1) % self.nslots) * self._stride
@@ -248,6 +249,7 @@ class Ring:
         before retiring the slot, so none outlive their iteration.
         """
         try:
+            self._counters.release()
             self._buf.release()
         except (BufferError, ValueError):
             pass  # sliced views still pending; GC will finish the job

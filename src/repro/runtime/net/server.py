@@ -4,11 +4,11 @@
 after PR 4.  The parent process owns the listening socket and the
 connection protocol only — **no model math runs here**.  It spawns
 ``workers`` worker processes (:mod:`repro.runtime.net.worker`), each of
-which loads the compiled ``.npz`` artifact and runs its own
-micro-batching :class:`repro.runtime.Server`; requests are routed to a
-worker by a **stable hash of the session id**, so a named stream's
-carried recurrent state stays worker-local for its whole life — across
-pushes, connections, and reconnects.
+which loads the compiled ``.npz`` artifact and steps its sessions' rows
+in coalesced ``step_rows`` rounds; requests are routed to a worker by a
+**stable hash of the session id**, so a named stream's carried recurrent
+state stays worker-local for its whole life — across pushes,
+connections, and reconnects.
 
 Two framings share every connection (PR 7): NDJSON v1 for all control
 traffic and for v1 clients, and the length-prefixed binary v2 frames for
@@ -28,8 +28,7 @@ a busy'd frame was *not* applied).  A full request ring or a worker with
 every response slot spoken for answers ``busy`` the same way.
 ``close()`` — and SIGTERM via :meth:`serve_forever` — drains: the
 listener stops, in-flight frames complete and their replies flush, then
-workers shut down their micro-batching servers (which drain their own
-queues in turn).
+workers shut down (each finishing the ops it accepted first).
 
 The network-facing half — request reading, the JSON preamble, the loop
 thread and the event journal — is :mod:`repro.runtime.net.front`, shared
@@ -206,8 +205,9 @@ class NetServer(Front):
     ``compiled`` is a :class:`repro.runtime.CompiledModel` (saved to a
     temporary artifact for the workers) or pass ``artifact_path`` to an
     existing ``.npz``.  ``port=0`` binds an ephemeral port — read
-    :attr:`address` after :meth:`start`.  ``queue_limit`` bounds each
-    connection's in-flight requests (the ``busy`` threshold).
+    :attr:`address` after :meth:`start`.  ``max_batch`` bounds the rows
+    a worker steps in one ``step_rows`` round.  ``queue_limit`` bounds
+    each connection's in-flight requests (the ``busy`` threshold).
 
     Each worker gets a shared-memory ring pair of ``ring_slots`` slots
     of ``slot_bytes`` each; larger payloads ride the request/reply
@@ -248,7 +248,6 @@ class NetServer(Front):
         port: int = 0,
         workers: int = 2,
         max_batch: int = 16,
-        max_delay_s: float = 0.002,
         queue_limit: int = 32,
         drain_timeout_s: float = 10.0,
         max_protocol: int = MAX_PROTOCOL,
@@ -267,6 +266,8 @@ class NetServer(Front):
             raise ConfigError("NetServer needs a compiled model or artifact_path")
         if workers < 1:
             raise ConfigError(f"workers must be positive, got {workers}")
+        if max_batch < 1:
+            raise ConfigError(f"max_batch must be positive, got {max_batch}")
         if queue_limit < 1:
             raise ConfigError(f"queue_limit must be positive, got {queue_limit}")
         if not PROTOCOL_VERSION <= max_protocol <= MAX_PROTOCOL:
@@ -313,7 +314,6 @@ class NetServer(Front):
         self._artifact_path = Path(artifact_path) if artifact_path else None
         self.workers = workers
         self.max_batch = max_batch
-        self.max_delay_s = max_delay_s
         self.queue_limit = queue_limit
         self.drain_timeout_s = drain_timeout_s
         self.max_protocol = max_protocol
@@ -537,7 +537,7 @@ class NetServer(Front):
             target=worker_main,
             args=(
                 index, str(self._artifact_path), spawn.requests,
-                spawn.replies, self.max_batch, self.max_delay_s,
+                spawn.replies, self.max_batch,
                 rings.name, self.ring_slots, self.slot_bytes,
                 self.session_cap, (self.faults or None) if gen == 0 else None,
                 kick_rx, bell_tx,
@@ -1337,6 +1337,8 @@ class NetServer(Front):
                       payload: bytes, shape: list[int]) -> None:
         """One push/push_many/score result, framed to mirror its request."""
         _conn_id, rid, _worker, binary, _merge, op = info
+        if conn.writer.is_closing():
+            return  # the peer left; its replies have no reader
         if binary:
             opcode = {"push": BIN_RESULT, "push_many": BIN_RESULT_MANY,
                       "score": BIN_SCORE_RESULT}[op]

@@ -1,24 +1,24 @@
 """The serving worker process of :mod:`repro.runtime.net`.
 
 Each worker is one OS process that loads the compiled ``.npz`` artifact
-from disk and runs its **own** micro-batching
-:class:`repro.runtime.Server` — numpy compute in ``N`` workers scales
-across cores where one Python process cannot.  Session state lives here:
-the parent routes every request for a session name to the same worker
-(stable hash), so the recurrent state never crosses a process boundary.
+from disk and steps its sessions' rows on the backend executor — numpy
+compute in ``N`` workers scales across cores where one Python process
+cannot.  Session state lives here: the parent routes every request for
+a session name to the same worker (stable hash), so the recurrent state
+never crosses a process boundary.
 
-Scheduling (PR 7) is event-driven rather than thread-per-session: a
-single :class:`_Scheduler` owns every session's op queue and drives the
-micro-batching server through its non-blocking :meth:`~repro.runtime.\
-Server.submit` hook.  Per-session order is strict — one op executes at a
-time per session, its completion callback submits the next — while
-concurrent sessions' rows still coalesce into shared ``step_rows``
-batches exactly as blocking threads would.  A ``push_many`` batch is
-applied frame by frame through the same path, so its logits are
-byte-identical to the equivalent sequence of single pushes.  When
-exactly one session is busy there is nothing to coalesce with, so its
-rows run inline on the consumer thread (:meth:`~repro.runtime.Server.\
-step_inline`) instead of paying two dispatcher wakeups per frame.
+Scheduling is one loop on one thread, in rounds.  Each round drains the
+request ring and the control queue (without blocking while any session
+is busy), then takes the next row of every busy session — oldest first,
+up to ``max_batch`` rows — and runs them in **one** ``step_rows`` call.
+The results feed back into each session's op, and a session whose op
+has rows left rejoins the back of the line.  A session runs one op at a
+time and contributes one row per round, so its order is strict, and a
+long ``push_many`` shares the rounds with other sessions, heartbeats
+and ``stats`` instead of holding them off until it ends.  By row
+isolation a coalesced row computes exactly the bytes a lone one would,
+so a ``push_many`` batch's logits are byte-identical to the equivalent
+sequence of single pushes, however the rounds grouped them.
 
 Transport: every worker has a :class:`~repro.runtime.net.ring.RingPair`.
 Request payloads arrive in shared-memory ring slots and result payloads
@@ -59,12 +59,11 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import signal
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future
-from multiprocessing.connection import wait as wait_readable
 from queue import Empty
 from typing import Any
 
@@ -87,6 +86,7 @@ from repro.runtime.net.ring import (
     ring_doorbell,
     take_doorbell,
 )
+from repro.runtime.server import ServerStats
 
 __all__ = ["worker_main"]
 
@@ -138,15 +138,19 @@ def _error(error: BaseException) -> dict:
 class _WireSession:
     """One named stream's worker-side state: strictly ordered op queue."""
 
-    __slots__ = ("name", "state", "frames", "ops", "busy", "last_used")
+    __slots__ = ("name", "state", "frames", "ops", "current", "last_used")
 
     def __init__(self, name: str, state: Any):
         self.name = name
         self.state = state
         self.frames = 0
         self.ops: deque[_Op] = deque()
-        self.busy = False  # an op's rows are in the micro-batch server
+        self.current: _Op | None = None  # the op whose rows are stepping
         self.last_used = time.monotonic()  # refreshed on every accepted op
+
+    @property
+    def busy(self) -> bool:
+        return self.current is not None
 
 
 class _Op:
@@ -172,24 +176,31 @@ class _Op:
         self.collected: list[np.ndarray] = []
         self.driver = driver  # workload row driver (generate/score)
 
+    def next_row(self) -> np.ndarray:
+        # A driver's next row comes from its state machine (for generate
+        # it one-hots the token just sampled from the previous row's
+        # logits); plain pushes index their materialized rows.
+        if self.driver is not None:
+            return self.driver.next_row()
+        return self.rows[self.cursor]
+
 
 class _Scheduler:
-    """Event-driven session scheduler over the micro-batching server.
+    """Every session of one worker, and the rounds that step their rows.
 
-    All state transitions run inside :meth:`_run_pump`, a reentrancy-safe
-    work pump: whichever thread (ring consumer or server dispatcher)
-    schedules work while no pump is active becomes the pumper and drains
-    the queue; a thread that schedules into a live pump just appends.
-    This serializes every mutation without a thread per session and
-    without recursion through already-completed futures.
+    Single-threaded: the consumer thread calls every method, so no
+    state here needs a lock.  ``_ready`` holds the busy sessions in the
+    order their next rows step; :meth:`step_round` takes rows from its
+    front and a session with rows left rejoins at its back.
     """
 
-    def __init__(self, index: int, compiled: Any, server: Any,
-                 rings: RingPair, replies: Any, *, bell: Any,
+    def __init__(self, index: int, compiled: Any, rings: RingPair,
+                 replies: Any, *, bell: Any, max_batch: int,
                  session_cap: int | None = None,
                  faults: FaultInjector | None = None):
         self._index = index
-        self._server = server
+        self._executor = compiled.executor()
+        self._max_batch = max_batch
         self._rings = rings
         self._bell_fd = bell.fileno()
         self._replies = replies
@@ -203,21 +214,29 @@ class _Scheduler:
             "num_classes": compiled.num_classes,
             "worker": index,
         }
-        self._lock = threading.Lock()
-        self._work: deque[tuple] = deque()  # guarded-by: _lock
-        self._pumping = False  # guarded-by: _lock
-        self._outstanding = 0  # guarded-by: _lock
-        self._idle = threading.Condition(self._lock)
-        # Pump-only state (serialized by the pump, no lock needed).
         self._sessions: dict[str, _WireSession] = {}
-        self._busy_count = 0  # sessions with rows in (or bound for) the server
+        self._ready: deque[_WireSession] = deque()
         self._emit_seq = 0
         self._evicted = {"idle": 0, "lru": 0, "admin": 0}
+        self._frames = self._batches = self._max_coalesced = 0
+        self._opened = 0
 
     # ------------------------------------------------------------------
     @property
-    def session_count(self) -> int:
-        return len(self._sessions)
+    def busy(self) -> bool:
+        """True while some session has a row to step."""
+        return bool(self._ready)
+
+    def stats(self) -> ServerStats:
+        """Row and round counters for the ``stats`` reply."""
+        return ServerStats(
+            frames=self._frames,
+            batches=self._batches,
+            sessions_opened=self._opened,
+            sessions_active=len(self._sessions),
+            max_coalesced=self._max_coalesced,
+            max_batch=self._max_batch,
+        )
 
     def lifecycle_stats(self) -> dict:
         """Session-table counters for the ``stats`` reply."""
@@ -228,56 +247,41 @@ class _Scheduler:
             "evicted_admin": self._evicted["admin"],
         }
 
-    def list_sessions(self, token: str) -> None:
-        """Schedule a session-table snapshot reply (any thread)."""
-        self._schedule(("sessions", token))
+    def step_round(self) -> None:
+        """Step the next row of up to ``max_batch`` busy sessions at once.
 
-    def sweep(self, ttl_s: float) -> None:
-        """Schedule an idle-TTL eviction pass (any thread)."""
-        self._schedule(("sweep", ttl_s))
-
-    def schedule_op(self, ticket: int, op: int, session: str,
-                    payload: bytes | None, shape: tuple[int, ...]) -> None:
-        """Accept one parent request (ring consumer thread)."""
-        with self._lock:
-            self._outstanding += 1
-        self._schedule(("op", ticket, op, session, payload, shape))
-
-    def wait_idle(self, timeout: float) -> bool:
-        """Block until every accepted op has emitted its reply."""
-        with self._lock:
-            return self._idle.wait_for(
-                lambda: self._outstanding == 0, timeout=timeout
+        One ``step_rows`` call for the whole round; a failure fails
+        every op in the round.
+        """
+        count = min(self._max_batch, len(self._ready))
+        batch = [self._ready.popleft() for _ in range(count)]
+        rows = np.stack([sess.current.next_row() for sess in batch])
+        self._frames += count
+        self._batches += 1
+        self._max_coalesced = max(self._max_coalesced, count)
+        try:
+            logits, states = self._executor.step_rows(
+                rows, [sess.state for sess in batch]
             )
+        except Exception as error:  # noqa: BLE001 — relayed to the clients
+            for sess in batch:
+                op_item, sess.current = sess.current, None
+                self._emit(op_item.ticket, _error(error))
+                self._pump_session(sess)
+            return
+        for index, sess in enumerate(batch):
+            self._complete(sess, logits[index], states[index])
+
+    def finish(self, timeout: float) -> None:
+        """Step rounds until every accepted op has replied (shutdown)."""
+        deadline = time.monotonic() + timeout
+        while self._ready and time.monotonic() < deadline:
+            self.step_round()
 
     # ------------------------------------------------------------------
-    def _schedule(self, item: tuple) -> None:
-        with self._lock:
-            self._work.append(item)
-            if self._pumping:
-                return
-            self._pumping = True
-        self._run_pump()
-
-    def _run_pump(self) -> None:
-        while True:
-            with self._lock:
-                if not self._work:
-                    self._pumping = False
-                    return
-                item = self._work.popleft()
-            if item[0] == "op":
-                self._accept(*item[1:])
-            elif item[0] == "done":
-                self._complete(*item[1:])
-            elif item[0] == "sweep":
-                self._evict_idle(item[1])
-            else:  # ("sessions", token)
-                self._emit_sessions(item[1])
-
-    # ------------------------------------------------------------------
-    def _accept(self, ticket: int, op: int, session: str,
-                payload: bytes | None, shape: tuple[int, ...]) -> None:
+    def accept(self, ticket: int, op: int, session: str,
+               payload: bytes | None, shape: tuple[int, ...]) -> None:
+        """Take one parent request off the ring."""
         sess = self._sessions.get(session)
         if op == OP_OPEN and sess is None:
             if (
@@ -290,13 +294,9 @@ class _Scheduler:
                     f"(cap {self._session_cap}) and every session is busy"
                 )))
                 return
-            try:
-                self._server.register_session()
-                sess = _WireSession(session, self._server.initial_state())
-            except ReproError as error:
-                self._emit(ticket, _error(error))
-                return
+            sess = _WireSession(session, self._executor.initial_state(1))
             self._sessions[session] = sess
+            self._opened += 1
             self._emit(ticket, {
                 "ok": True, "type": "open", "session": session,
                 "existing": False, "seq": 0, **self.meta,
@@ -389,6 +389,7 @@ class _Scheduler:
         return driver
 
     def _pump_session(self, sess: _WireSession) -> None:
+        """Run the session's queued control ops up to its next row op."""
         while not sess.busy and sess.ops:
             op_item = sess.ops.popleft()
             if op_item.op == OP_OPEN:
@@ -397,12 +398,11 @@ class _Scheduler:
                     "existing": True, "seq": sess.frames, **self.meta,
                 })
             elif op_item.op == OP_RESET:
-                sess.state = self._server.initial_state()
+                sess.state = self._executor.initial_state(1)
                 sess.frames = 0
                 self._emit(op_item.ticket, {"ok": True, "type": "reset"})
             elif op_item.op in (OP_CLOSE, OP_EVICT):
                 del self._sessions[sess.name]
-                self._server.release_session(sess)
                 for stale in sess.ops:
                     self._emit(stale.ticket, _error(ReproError(
                         f"session {sess.name!r} was closed with this "
@@ -419,61 +419,25 @@ class _Scheduler:
                     self._emit(op_item.ticket, {"ok": True, "type": "close"})
                 return
             else:
-                sess.busy = True
-                self._busy_count += 1
-                self._submit_next(sess, op_item)
+                sess.current = op_item
+                self._ready.append(sess)
 
-    def _submit_next(self, sess: _WireSession, op_item: _Op) -> None:
-        # A driver op's next row comes from its state machine (for
-        # generate it one-hots the token just sampled from the previous
-        # row's logits); plain pushes index their materialized rows.
-        # Either way the row takes the same step path below, coalescing
-        # with other sessions' rows — autoregressive steps and
-        # micro-batched scoring rows share the batches.
-        if op_item.driver is not None:
-            row = op_item.driver.next_row()
-        else:
-            row = op_item.rows[op_item.cursor]
-        # Fast path: with exactly one busy session there is nothing to
-        # coalesce with, so the micro-batch dispatcher hop (two thread
-        # wakeups per row) buys nothing — compute the row inline on this
-        # thread instead.  step_inline runs the identical 1-row
-        # step_rows call, so the bytes cannot differ; completion still
-        # goes through the pump as a pre-resolved future to keep one
-        # code path.  The moment a second session has rows in flight,
-        # rows revert to submit() and coalesce as before.
-        if self._busy_count == 1:
-            future: Future = Future()
-            try:
-                future.set_result(self._server.step_inline(row, sess.state))
-            except BaseException as error:  # noqa: BLE001 — relayed below
-                future.set_exception(error)
-            self._schedule(("done", sess, op_item, future))
-            return
-        try:
-            future = self._server.submit(sess, row, sess.state)
-        except ReproError as error:
-            sess.busy = False
-            self._busy_count -= 1
-            self._emit(op_item.ticket, _error(error))
-            return
-        future.add_done_callback(
-            lambda fut: self._schedule(("done", sess, op_item, fut))
-        )
-
-    def _complete(self, sess: _WireSession, op_item: _Op, future: Any) -> None:
-        try:
-            logits, state = future.result()
-        except BaseException as error:  # noqa: BLE001 — relayed to the client
-            sess.busy = False
-            self._busy_count -= 1
-            self._emit(op_item.ticket, _error(error))
-            self._pump_session(sess)
-            return
+    def _complete(self, sess: _WireSession, logits: np.ndarray,
+                  state: Any) -> None:
+        """One stepped row's result: advance the op, reply when done."""
+        op_item = sess.current
         sess.state = state
         sess.frames += 1
         sess.last_used = time.monotonic()
-        if op_item.driver is not None:
+        if op_item.driver is None:
+            op_item.collected.append(logits)
+            op_item.cursor += 1
+            if op_item.cursor < len(op_item.rows):
+                self._ready.append(sess)
+                return
+            sess.current = None
+            self._emit_result(sess, op_item)
+        else:
             try:
                 op_item.driver.feed(logits)
             except ReproError as error:
@@ -481,30 +445,17 @@ class _Scheduler:
                 # HAS advanced by the rows already fed, so the error
                 # reply leaves the client's seq reconcile (reattach +
                 # journal replay) to restore a known state.
-                sess.busy = False
-                self._busy_count -= 1
+                sess.current = None
                 self._emit(op_item.ticket, _error(error))
-                self._pump_session(sess)
-                return
-            if not op_item.driver.done:
-                self._submit_next(sess, op_item)
-                return
-            sess.busy = False
-            self._busy_count -= 1
-            self._emit_driver_result(sess, op_item)
-            self._pump_session(sess)
-            return
-        op_item.collected.append(logits)
-        op_item.cursor += 1
-        if op_item.cursor < len(op_item.rows):
-            self._submit_next(sess, op_item)
-            return
-        sess.busy = False
-        self._busy_count -= 1
-        self._emit_result(sess, op_item)
+            else:
+                if not op_item.driver.done:
+                    self._ready.append(sess)
+                    return
+                sess.current = None
+                self._emit_driver_result(sess, op_item)
         self._pump_session(sess)
 
-    # -- session lifecycle (pump-only) ---------------------------------
+    # -- session lifecycle ---------------------------------------------
     def _evictable(self) -> list[_WireSession]:
         """Sessions safe to drop right now: not computing, nothing queued."""
         return [
@@ -514,10 +465,9 @@ class _Scheduler:
 
     def _evict_one(self, sess: _WireSession, reason: str) -> None:
         del self._sessions[sess.name]
-        self._server.release_session(sess)
         self._evicted[reason] += 1
 
-    def _evict_idle(self, ttl_s: float) -> None:
+    def sweep(self, ttl_s: float) -> None:
         """A parent sweep: drop every idle session past its TTL."""
         cutoff = time.monotonic() - ttl_s
         for sess in self._evictable():
@@ -532,7 +482,7 @@ class _Scheduler:
         self._evict_one(min(candidates, key=lambda s: s.last_used), "lru")
         return True
 
-    def _emit_sessions(self, token: str) -> None:
+    def list_sessions(self, token: str) -> None:
         """Session-table snapshot, straight onto the reply queue."""
         now = time.monotonic()
         self._replies.put(("res", token, None, {
@@ -558,7 +508,6 @@ class _Scheduler:
     def _emit(self, ticket: int, payload: dict) -> None:
         """Control/error reply: always a dict on the queue, in emit order."""
         self._replies.put(("res", ticket, self._next_emit(), payload))
-        self._settle_one()
 
     def _emit_result(self, sess: _WireSession, op_item: _Op) -> None:
         """Logits reply: ring slot when it fits, queue dict otherwise."""
@@ -577,7 +526,6 @@ class _Scheduler:
             # A lost reply: no emit_seq is consumed (the op "never
             # replied"), so only this one request hangs parent-side and
             # the client's timeout + reattach is the recovery path.
-            self._settle_one()
             return
         self._publish(sess, op_item, op_name, values, payload, action)
 
@@ -593,8 +541,7 @@ class _Scheduler:
         result = op_item.driver.result()
         action = self._faults.on_publish() if self._faults else None
         if action == "drop":
-            self._settle_one()  # lost reply: client timeout + reattach
-            return
+            return  # lost reply: client timeout + reattach
         if op_item.op == OP_SCORE:
             values = np.ascontiguousarray(
                 result["logprobs"], dtype=np.float64
@@ -606,7 +553,6 @@ class _Scheduler:
             "ok": True, "type": "generate", "seq": sess.frames,
             "tokens": result["tokens"],
         }))
-        self._settle_one()
 
     def _publish(self, sess: _WireSession, op_item: _Op, op_name: str,
                  values: np.ndarray, payload: bytes,
@@ -633,58 +579,60 @@ class _Scheduler:
                 "ok": True, "type": op_name, "seq": sess.frames,
                 "raw": (payload, list(values.shape)),
             }))
-        self._settle_one()
-
-    def _settle_one(self) -> None:
-        with self._lock:
-            self._outstanding -= 1
-            if self._outstanding == 0:
-                self._idle.notify_all()
 
 
 class _Consumer:
-    """The worker's request loop: queue messages + request-ring drains."""
+    """The worker's one loop: take what arrived, then step a round."""
 
     def __init__(self, scheduler: _Scheduler, rings: RingPair,
-                 requests: Any, replies: Any, server: Any, *,
+                 requests: Any, replies: Any, *,
                  kick: Any, faults: FaultInjector | None = None):
         self._scheduler = scheduler
         self._rings = rings
         self._requests = requests
         self._replies = replies
-        self._server = server
         self._kick = kick  # request doorbell (read end); None after EOF
         # The queue's own pipe, polled next to the doorbell so control
-        # messages wake the same blocking wait.
-        self._queue_reader = requests._reader
+        # messages wake the same wait.
+        self._queue_fd = requests._reader.fileno()
+        self._poller = select.poll()
+        self._poller.register(kick.fileno(), select.POLLIN)
+        self._poller.register(self._queue_fd, select.POLLIN)
         self._faults = faults if faults else None
         self._payloads: deque[bytes] = deque()
         self._shutdown = False
 
     def run(self) -> None:
-        """One blocking wait over the live fds, until ``shutdown``.
+        """Rounds until ``shutdown``.
 
         The doorbell pipe carries the per-frame hot-path kicks, the
         queue's reader connection the cold-path control traffic; no
         feeder or relay thread stands between the parent's publish and
-        this wake-up.  After the doorbell's EOF only the queue is
-        watched, so the same loop serves the post-EOF tail.
+        this wake-up.  The wait blocks only while no session is busy;
+        otherwise it just looks, so whatever arrived joins the next
+        round.  After the doorbell's EOF only the queue is watched, so
+        the same loop serves the post-EOF tail.
         """
+        scheduler = self._scheduler
         while not self._shutdown:
-            ready = wait_readable(
-                [fd for fd in (self._kick, self._queue_reader)
-                 if fd is not None]
-            )
-            if self._kick in ready:
-                self._take_kick()
-            if self._queue_reader in ready and not self._shutdown:
-                try:
-                    # The drain may already have consumed this message
-                    # (an oversized entry's payload): never block here.
-                    message = self._requests.get(block=False)
-                except Empty:
-                    continue
-                self._handle(message)
+            ready = self._poller.poll(0 if scheduler.busy else None)
+            for fd, _ in ready:
+                if fd == self._queue_fd:
+                    self._drain_queue()
+                else:
+                    self._take_kick()
+            if scheduler.busy and not self._shutdown:
+                scheduler.step_round()
+
+    def _drain_queue(self) -> None:
+        while not self._shutdown:
+            try:
+                # The ring drain may already have consumed a message
+                # (an oversized entry's payload): never block here.
+                message = self._requests.get(block=False)
+            except Empty:
+                return
+            self._handle(message)
 
     def _take_kick(self) -> None:
         """Take the doorbell bytes, clear the kick flag, drain the ring.
@@ -697,6 +645,7 @@ class _Consumer:
             # EOF: the parent closed its end (it is replacing or leaving
             # us).  Stop watching the fd rather than spin on it; control
             # traffic — and the shutdown message — still arrive.
+            self._poller.unregister(self._kick.fileno())
             self._kick = None
         self._rings.clear_kick(responses=False)
         self._drain_ring()
@@ -712,7 +661,7 @@ class _Consumer:
                 "ok": True,
                 "type": "stats",
                 "worker": self._scheduler.meta["worker"],
-                "stats": self._server.stats().to_dict(),
+                "stats": self._scheduler.stats().to_dict(),
                 **self._scheduler.lifecycle_stats(),
             }))
         elif kind == "sessions":
@@ -745,7 +694,7 @@ class _Consumer:
             ring.advance()
             if self._faults:
                 self._faults.on_request()
-            self._scheduler.schedule_op(ticket, op, session, payload, shape)
+            self._scheduler.accept(ticket, op, session, payload, shape)
 
     def _await_payload(self) -> bytes | None:
         """The ring entry was published after its queue payload: take it.
@@ -765,7 +714,6 @@ def worker_main(
     requests: Any,
     replies: Any,
     max_batch: int,
-    max_delay_s: float,
     shm_name: str,
     ring_slots: int,
     slot_bytes: int,
@@ -792,33 +740,29 @@ def worker_main(
 
     try:
         from repro.runtime.model import CompiledModel
-        from repro.runtime.server import Server
 
         rings = RingPair.attach(shm_name, ring_slots, slot_bytes)
         os.set_blocking(kick.fileno(), False)
         os.set_blocking(bell.fileno(), False)
-        compiled = CompiledModel.load(artifact_path)
-        server = Server(compiled, max_batch=max_batch, max_delay_s=max_delay_s)
+        injector = FaultInjector(index, faults) if faults else None
+        scheduler = _Scheduler(index, CompiledModel.load(artifact_path),
+                               rings, replies, bell=bell,
+                               max_batch=max_batch, session_cap=session_cap,
+                               faults=injector)
     except BaseException as error:  # noqa: BLE001 — parent must learn of it
         replies.put(("fatal", index, f"worker {index} failed to start: {error}"))
         return
 
-    injector = FaultInjector(index, faults) if faults else None
-    scheduler = _Scheduler(index, compiled, server, rings, replies,
-                           bell=bell, session_cap=session_cap,
-                           faults=injector)
-    consumer = _Consumer(scheduler, rings, requests, replies, server,
+    consumer = _Consumer(scheduler, rings, requests, replies,
                          kick=kick, faults=injector)
     replies.put(("ready", index))
 
     try:
         consumer.run()
+        # Drain: every accepted op steps to its reply (the parent is
+        # still pumping this worker's queue) before the rings close.
+        scheduler.finish(timeout=30)
     except BaseException as error:  # noqa: BLE001 — parent must learn of it
         replies.put(("fatal", index, f"worker {index} died: {error}"))
     finally:
-        # Drain: every accepted op emits its reply (the parent is still
-        # pumping this worker's queue), then the micro-batching server
-        # closes — which drains its own queued rows in turn.
-        scheduler.wait_idle(timeout=30)
-        server.close()
         rings.close()

@@ -13,6 +13,11 @@ Python/numpy dispatch cost of a step is paid once per *batch* instead of
 once per *frame* (``repro bench --only runtime_session`` records the
 speedup).
 
+This is the in-process server: caller threads, one dispatcher.  A
+:mod:`repro.runtime.net` worker needs neither; it coalesces its wire
+sessions' rows in its own single-threaded round loop and reports the
+same :class:`ServerStats`.
+
 >>> with compiled.serve(max_batch=16) as server:
 ...     session = server.session()
 ...     posteriors = session.push(frame)      # safe from any thread's session
@@ -150,64 +155,6 @@ class Server:
                 max_coalesced=self._max_coalesced,
                 max_batch=self.max_batch,
             )
-
-    # ------------------------------------------------------------------
-    # External-scheduler surface (the net worker's wire scheduler).
-    # ------------------------------------------------------------------
-    def submit(self, session: Any, frame: np.ndarray, state: Any) -> Future:
-        """Queue one coerced ``(D,)`` row for micro-batching (non-blocking).
-
-        The public row-level hook for external schedulers — the net
-        worker drives its sessions through here instead of blocking a
-        thread per session in :meth:`ServerSession.push`.  ``session`` is
-        any identity token held stable for the stream's life (it keys the
-        fill-target accounting); the returned future resolves to
-        ``(logits_row, new_state)``, byte-identical to the row a
-        :class:`ServerSession` would produce.  Callers must serialize
-        submissions per session: a stream's next row may only be
-        submitted with the state returned for its previous one.
-        """
-        return self._submit(session, frame, state)
-
-    def step_inline(self, frame: np.ndarray, state: Any) -> tuple:
-        """Compute one coerced ``(D,)`` row synchronously on the caller.
-
-        The fast-path complement to :meth:`submit` for an external
-        scheduler that *knows* no other stream could coalesce right now
-        (a single busy session cannot batch with anyone): it skips the
-        dispatcher queue and its condition-variable wakeup entirely and
-        runs the same 1-row ``step_rows`` call the dispatcher would,
-        so the logits and new state are byte-identical to the submitted
-        path.  Counts as a 1-row batch in :meth:`stats`.  Callers keep
-        the per-session serialization contract of :meth:`submit`.
-        """
-        with self._cond:
-            if self._closed:
-                raise ConfigError("server is closed")
-            self._frames += 1
-            self._batches += 1
-            if self._max_coalesced < 1:
-                self._max_coalesced = 1
-        logits, states = self._executor.step_rows(
-            np.stack([frame]), [state]
-        )
-        return logits[0], states[0]
-
-    def initial_state(self) -> Any:
-        """Fresh width-1 recurrent state for an externally scheduled stream."""
-        return self._executor.initial_state(1)
-
-    def register_session(self) -> None:
-        """Count one externally scheduled stream in the stats totals."""
-        with self._cond:
-            if self._closed:
-                raise ConfigError("server is closed")
-            self._sessions_opened += 1
-            self._sessions_active += 1
-
-    def release_session(self, session: Any) -> None:
-        """Release an externally scheduled stream (pairs register_session)."""
-        self._release_session(session)
 
     def close(self) -> None:
         """Drain pending pushes, stop the dispatcher, reject new work.
@@ -409,7 +356,7 @@ class ServerSession:
     ) -> list[int]:
         """Sample ``steps`` tokens after ``prompt`` (lm workload only).
 
-        Each autoregressive row goes through :meth:`Server.submit`, so it
+        Each autoregressive row goes through the dispatcher, so it
         coalesces with other sessions' pushes — and by row isolation the
         tokens are byte-identical to a standalone
         :meth:`repro.runtime.Session.generate` with the same seed.

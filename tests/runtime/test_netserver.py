@@ -15,7 +15,9 @@ localhost port.  The headline invariants:
   byte-identity throughout.
 """
 
+import gc
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -32,7 +34,12 @@ from repro.runtime.net import (
     encode_array,
     route_session,
 )
-from repro.runtime.net.protocol import dump_line, error_reply, parse_line
+from repro.runtime.net.protocol import (
+    MAX_PUSH_MANY_FRAMES,
+    dump_line,
+    error_reply,
+    parse_line,
+)
 
 SPEC = RNNSpec("lstm", 10, (32,), 6, block_sizes=(4,))
 TIMEOUT = 15.0
@@ -132,6 +139,8 @@ class TestProtocol:
             NetServer(fixed_compiled, workers=0)
         with pytest.raises(ConfigError, match="queue_limit"):
             NetServer(fixed_compiled, queue_limit=0)
+        with pytest.raises(ConfigError, match="max_batch"):
+            NetServer(fixed_compiled, max_batch=0)
 
 
 # ----------------------------------------------------------------------
@@ -528,6 +537,79 @@ class TestErrorFrames:
 
 
 # ----------------------------------------------------------------------
+# Worker rounds: busy sessions share step_rows calls and take turns.
+# ----------------------------------------------------------------------
+
+
+class TestWorkerRounds:
+    @pytest.mark.parametrize("backend,max_batch,per_round", [
+        ("fixed", 16, 2), ("fixed", 1, 1), ("float", 16, 2),
+    ])
+    def test_held_requests_coalesce_into_shared_rounds(
+        self, fixed_compiled, backend, max_batch, per_round
+    ):
+        """Two sessions' ``push_many`` requests land in one ring drain
+        (the worker stalls on reading the first), so every round steps
+        one row of each — up to ``max_batch`` rows per call."""
+        compiled = fixed_compiled if backend == "fixed" else _compiled(backend)
+        frames = 12
+        streams = _streams(2, frames, seed=47)
+        names = ["round-a", "round-b"]
+        with NetServer(
+            compiled, workers=1, max_batch=max_batch,
+            faults="stall:after=2,seconds=0.5",  # after the two opens
+        ) as server:
+            with _client(server) as client:
+                for name in names:
+                    client.session(name)
+                rids = [
+                    client._send("push_many", session=name,
+                                 frames=encode_array(stream))
+                    for name, stream in zip(names, streams)
+                ]
+                replies = {}
+                for _ in rids:
+                    reply = client._check(client._recv())
+                    replies[reply["id"]] = reply
+                (entry,) = client.stats()
+        stats = entry["stats"]
+        assert stats["max_coalesced"] == per_round
+        assert stats["frames"] == 2 * frames
+        assert stats["batches"] == 2 * frames // per_round
+        for rid, stream in zip(rids, streams):
+            assert replies[rid]["seq"] == frames
+            got = Client._logits(replies[rid])
+            assert got.tobytes() == _standalone(compiled, stream).tobytes()
+
+    def test_a_push_overtakes_a_long_push_many(self, fixed_compiled):
+        """A long ``push_many`` steps one row per round, so another
+        session's push — and a ``stats`` probe — are answered between
+        its rounds, long before it completes."""
+        long = _streams(1, MAX_PUSH_MANY_FRAMES, seed=53)[0]
+        frame = _streams(1, 1, seed=59)[0, 0]
+        with NetServer(fixed_compiled, workers=1) as server:
+            with _client(server) as client:
+                client.session("long")
+                client.session("short")
+                long_rid = client._send("push_many", session="long",
+                                        frames=encode_array(long))
+                push_rid = client._send("push", session="short",
+                                        frame=encode_array(frame))
+                stats_rid = client._send("stats")
+                replies = [client._check(client._recv()) for _ in range(3)]
+        order = [reply["id"] for reply in replies]
+        assert order[-1] == long_rid, order
+        assert set(order[:2]) == {push_rid, stats_rid}
+        by_id = {reply["id"]: reply for reply in replies}
+        assert Client._logits(by_id[push_rid]).tobytes() == (
+            _standalone(fixed_compiled, frame[None]).tobytes()
+        )
+        assert Client._logits(by_id[long_rid]).tobytes() == (
+            _standalone(fixed_compiled, long).tobytes()
+        )
+
+
+# ----------------------------------------------------------------------
 # Backpressure: bounded queues, busy frames, no silent application.
 # ----------------------------------------------------------------------
 
@@ -540,9 +622,7 @@ class TestBackpressure:
         busy'd frame provably never touched the session's state."""
         flood = 24
         stream = _streams(1, flood, seed=29)[0]
-        with NetServer(
-            fixed_compiled, workers=1, queue_limit=2, max_delay_s=0.01
-        ) as server:
+        with NetServer(fixed_compiled, workers=1, queue_limit=2) as server:
             with Client(*server.address, timeout=TIMEOUT) as client:
                 session = client.session("flooded")
                 rids = [
@@ -577,9 +657,7 @@ class TestBackpressure:
     def test_windowed_pipelining_never_draws_busy(self, fixed_compiled):
         """run() clamps its window to queue_limit: no busy possible."""
         stream = _streams(1, 30, seed=31)[0]
-        with NetServer(
-            fixed_compiled, workers=1, queue_limit=4, max_delay_s=0.001
-        ) as server:
+        with NetServer(fixed_compiled, workers=1, queue_limit=4) as server:
             with Client(*server.address, timeout=TIMEOUT) as client:
                 session = client.session("windowed")
                 got = session.run(stream, window=64)  # clamped to 4
@@ -599,9 +677,7 @@ class TestDrain:
 
         frames = 30
         stream = _streams(1, frames, seed=37)[0]
-        server = NetServer(
-            fixed_compiled, workers=1, queue_limit=64, max_delay_s=0.005
-        ).start()
+        server = NetServer(fixed_compiled, workers=1, queue_limit=64).start()
         client = Client(*server.address, timeout=TIMEOUT)
         session = client.session("drained")
         rids = [
@@ -715,7 +791,7 @@ class TestSoak:
         assert len(busy_workers) == 2
 
     def test_busy_overtake_recomputes_exactly_the_discarded_frames(
-        self, fixed_compiled
+        self, fixed_compiled, caplog
     ):
         """A ``busy`` that overtakes the pipeline head forces a reset and
         replay; the frames the server had applied and the reset threw
@@ -723,8 +799,11 @@ class TestSoak:
 
         Two ring slots and a held first response make it deterministic:
         frames 1-2 take both result slots, so frame 3's ``busy`` reaches
-        the client before frame 1's result does.
+        the client before frame 1's result does.  The recovery closes a
+        connection with replies still in flight; the server must drop
+        them quietly rather than log asyncio's teardown noise.
         """
+        caplog.set_level(logging.WARNING, logger="asyncio")
         frames = 24
         stream = _streams(1, frames, seed=43)[0]
         with NetServer(
@@ -740,6 +819,17 @@ class TestSoak:
         served = sum(entry["stats"]["frames"] for entry in entries)
         assert served == frames + session.discarded_frames
         assert np.array_equal(got, _standalone(fixed_compiled, stream))
+        gc.collect()  # an unretrieved exception is logged on collection
+        noise = [
+            record.getMessage() for record in caplog.records
+            if record.name == "asyncio" and any(
+                text in record.getMessage() for text in (
+                    "socket.send() raised exception",
+                    "Future exception was never retrieved",
+                )
+            )
+        ]
+        assert noise == []
 
 
 def test_session_names_route_both_workers():

@@ -1,11 +1,15 @@
 """Unit tests for the shared-memory slot rings under the v2 transport.
 
-Everything here exercises :mod:`repro.runtime.net.ring` in one process
+Most of this exercises :mod:`repro.runtime.net.ring` in one process
 (the SPSC protocol does not care which thread plays producer): slot
 publish/consume ordering, wraparound, capacity, the external-payload
 flag, seqlock corruption detection, doorbell-kick coalescing, and the
-create/attach segment lifecycle.
+create/attach segment lifecycle.  One test races a producer process
+against the consumer, as a worker and its parent do.
 """
+
+import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -109,6 +113,49 @@ class TestRing:
         res, res_payload = _drain_one(pair.responses)
         assert (req.ticket, req_payload) == (1, b"a" * 8)
         assert (res.ticket, res_payload) == (2, b"b" * 8)
+
+
+def _produce(name: str, nslots: int, count: int) -> None:
+    """Publish ``count`` entries as fast as the consumer frees slots."""
+    rings = RingPair.attach(name, nslots, 1024)
+    sent = 0
+    while sent < count:
+        if rings.requests.try_push(OP_PUSH, sent, (1,), bytes(8)):
+            sent += 1
+    rings.close()
+
+
+def test_producer_process_and_consumer_agree():
+    """A producer process publishes while this one drains: every peek
+    finds a published entry or none, and every entry arrives once, in
+    order.  The counters cross the process boundary as whole 8-byte
+    words; a store that zeroed its word first (``struct.pack_into``
+    does) let a racing consumer read a tail of 0 and peek an
+    unpublished slot, a phantom that fails the seq check."""
+    count = 50_000
+    rings = RingPair.create(1024, 1024)
+    producer = multiprocessing.get_context("spawn").Process(
+        target=_produce, args=(rings.name, 1024, count)
+    )
+    producer.start()
+    deadline = time.monotonic() + 60
+    try:
+        for index in range(count):
+            entry = rings.requests.peek()  # a phantom raises RingError
+            while entry is None:
+                assert time.monotonic() < deadline, "producer stalled"
+                entry = rings.requests.peek()
+            assert entry.ticket == index
+            entry.payload = None  # a live view would block close()
+            rings.requests.advance()
+    except BaseException:
+        producer.kill()  # it may be blocked on a full ring
+        raise
+    finally:
+        producer.join(timeout=30)
+        rings.close()
+        rings.unlink()
+    assert producer.exitcode == 0
 
 
 class TestKickFlags:

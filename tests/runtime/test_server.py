@@ -131,61 +131,6 @@ class TestConcurrentSessions:
         assert np.array_equal(second, expected)
 
 
-class TestExternalScheduling:
-    """``submit`` and ``step_inline``: the row hooks the net worker drives
-    (inline while one session is busy, the dispatcher otherwise)."""
-
-    def test_step_inline_and_submit_rows_match_standalone(self, compiled):
-        """One stream switching between both paths mid-stream, as a
-        worker does when a second session comes and goes."""
-        stream = _streams(1, 10, seed=13)[0]
-        want = compiled.session().run(stream[:, None, :])[:, 0]
-        with compiled.serve(max_delay_s=0.0) as server:
-            token = object()
-            state = server.initial_state()
-            rows = []
-            for index, frame in enumerate(stream):
-                if index % 3 == 1:
-                    logits, state = server.submit(
-                        token, frame, state
-                    ).result(timeout=30)
-                else:
-                    logits, state = server.step_inline(frame, state)
-                rows.append(logits)
-            stats = server.stats()
-        assert np.stack(rows).tobytes() == want.tobytes()
-        assert (stats.frames, stats.batches, stats.max_coalesced) == (
-            10, 10, 1
-        )
-
-    def test_coalesced_submit_rows_match_standalone(self, compiled):
-        frames = 8
-        streams = _streams(2, frames, seed=17)
-        want = [compiled.session().run(s[:, None, :])[:, 0] for s in streams]
-        tokens = [object(), object()]
-        with compiled.serve(max_batch=2, max_delay_s=0.0) as server:
-            states = [server.initial_state() for _ in tokens]
-            rows: list[list] = [[], []]
-            for step in range(frames):
-                # The dispatcher cannot take a batch while this thread
-                # holds its (reentrant) lock, so both rows queue first
-                # and always share one step_rows call.
-                with server._cond:
-                    futures = [
-                        server.submit(tokens[i], streams[i][step], states[i])
-                        for i in range(2)
-                    ]
-                for i, future in enumerate(futures):
-                    logits, states[i] = future.result(timeout=30)
-                    rows[i].append(logits)
-            stats = server.stats()
-        for i in range(2):
-            assert np.stack(rows[i]).tobytes() == want[i].tobytes()
-        assert (stats.frames, stats.batches, stats.max_coalesced) == (
-            2 * frames, frames, 2
-        )
-
-
 class TestServerLifecycle:
     def test_close_rejects_new_work(self, compiled):
         server = compiled.serve()

@@ -364,8 +364,8 @@ class TestPushMany:
             assert session.frames_pushed == 0
 
     def test_inline_steps_count_in_stats(self, v2_server):
-        """step_inline rows land in the same stats counters the
-        dispatcher maintains — monitoring sees every frame."""
+        """Every row a worker steps lands in its stats counters —
+        monitoring sees every frame."""
         stream = _stream(5, seed=19)
         with Client(*v2_server.address, timeout=TIMEOUT) as client:
             before = sum(e["stats"]["frames"] for e in client.stats())
