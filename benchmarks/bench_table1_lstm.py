@@ -1,9 +1,9 @@
 """Table I: LSTM block-size / layer-size exploration (trained rows).
 
-Trains all 16 rows of the paper's LSTM grid (÷16 scale, DESIGN.md §2) with
-the E-RNN flow and prints measured vs published PER.  Assertions check the
-paper's Sec. IV observations as *orderings*; absolute PERs belong to the
-synthetic corpus, not to TIMIT.
+Trains all 16 rows of the paper's LSTM grid (÷16 scale, see
+``repro.experiments.table1``) with the E-RNN flow and prints measured vs
+published PER.  Assertions check the paper's Sec. IV observations as
+*orderings*; absolute PERs belong to the synthetic corpus, not to TIMIT.
 """
 
 import pytest
@@ -26,7 +26,8 @@ def test_table1_lstm_grid(benchmark, harness):
     # that slack.  The paper's TIMIT-scale differences are 0.0-0.5%; at 1/16
     # layer size every block size cuts relatively ~16x deeper, so measured
     # degradations are tens of points — the assertions below test the
-    # *orderings*, and EXPERIMENTS.md records the magnitudes honestly.
+    # *orderings*; the magnitudes belong in the paper-vs-repo ledger
+    # (ROADMAP.md, open item 2).
     noise = 6.0
 
     # Observation 1: the smallest block size is free (paper: -0.08 at

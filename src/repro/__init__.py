@@ -26,7 +26,7 @@ emulation)::
     compiled = runtime.compile(model, backend="fixed", weight_bits=12)
     logits = compiled.run(features)         # batched (T, B, D) -> (T, B, C)
     session = compiled.session()            # streaming, byte-identical
-    with compiled.serve() as server:        # micro-batched concurrent serving
+    with compiled.serve() as server:        # rounds: one row per session
         posteriors = server.session().push(frame)
 
 The frozen spec types (:class:`RNNSpec`, :class:`AccelSpec`) remain the

@@ -37,7 +37,7 @@ PHONES_39 = (
 
 #: Lee & Hon folding.  Identity entries are omitted; ``q`` (glottal stop) is
 #: conventionally deleted in scoring — we fold it into silence, the common
-#: softer choice, and note it in EXPERIMENTS.md.
+#: softer choice.
 FOLD_61_TO_39: dict[str, str] = {
     "ao": "aa",
     "ax": "ah",

@@ -286,10 +286,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     plan = _drill_plan(args)
     print(plan.compiled.describe())
-    window = {} if args.delay_ms is None else {
-        "max_delay_s": args.delay_ms / 1e3
-    }
-    with plan.compiled.serve(max_batch=args.max_batch, **window) as server:
+    with plan.compiled.serve(max_batch=args.max_batch) as server:
         # Without --selftest this is the load demo: the same soak, no gate.
         code = drills.run_drill(drills.in_process_target(server), plan,
                                 selftest=args.selftest)
@@ -309,11 +306,6 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
         return 2
     if args.lm and not args.selftest:
         print("--lm is a selftest mode (add --selftest)", file=sys.stderr)
-        return 2
-    if args.delay_ms is not None:
-        print("--delay-ms sets the in-process server's batching window; "
-              "workers coalesce whatever rows are pending without waiting "
-              "(drop --port, or drop --delay-ms)", file=sys.stderr)
         return 2
     faults = list(args.fault or [])
     if args.chaos and not faults:
@@ -688,18 +680,20 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="serve a model: in-process demo, or over TCP with --port",
+        description="Serve a model to concurrent sessions.  Both modes run "
+                    "one round scheduler: each round steps the next row of "
+                    "every busy session, oldest first, up to --max-batch "
+                    "rows, in one backend call, with no wait for "
+                    "stragglers.  Without --port the rounds run on one "
+                    "thread of this process; with --port each worker "
+                    "process runs them.",
     )
     _add_spec_arguments(serve)
     _add_runtime_arguments(serve)
     serve.add_argument("--sessions", type=int, default=8,
                        help="concurrent client sessions (default: 8)")
     serve.add_argument("--max-batch", type=int, default=16,
-                       help="rows coalesced per backend call (default: 16)")
-    serve.add_argument(
-        "--delay-ms", type=float, default=None,
-        help="in-process micro-batching window in milliseconds "
-             "(default: 2.0); network serving has no window",
-    )
+                       help="rows per round's backend call (default: 16)")
     serve.add_argument(
         "--host", default="127.0.0.1",
         help="bind address for network serving (default: 127.0.0.1)",

@@ -16,9 +16,10 @@ forward loop of ``asr.pipeline``):
   (:func:`check_conformance`).
 * :meth:`CompiledModel.session` — stateful frame-by-frame streaming,
   byte-identical to the one-shot batched :meth:`CompiledModel.run`.
-* :class:`Server` — a thread-based micro-batching scheduler that coalesces
-  concurrent session pushes into batched backend calls without perturbing
-  any stream's bytes (the row-isolation contract).
+* :class:`Server` — a thread-based micro-batching scheduler that steps
+  concurrent sessions' rows in shared backend calls, one row per busy
+  session per round, without perturbing any stream's bytes (the
+  row-isolation contract).  The net workers run the same round core.
 * :mod:`repro.runtime.net` — the process boundary: an NDJSON/TCP network
   front-end sharding the same stack across worker processes (stable-hash
   session routing, explicit ``busy`` backpressure, draining shutdown),
@@ -49,7 +50,8 @@ __getattr__, __dir__ = attach(
             "CompiledModel", "LMMeta", "RuntimeMeta", "compile",
             "compile_model",
         ],
-        "server": ["Server", "ServerSession", "ServerStats"],
+        "rounds": ["ServerStats"],
+        "server": ["Server", "ServerSession"],
         "session": ["Session"],
         "workloads": [
             "WORKLOAD_REGISTRY", "WorkloadInfo", "register_workload",

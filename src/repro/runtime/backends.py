@@ -80,7 +80,7 @@ class Executor(ABC):
     Executors hold weights (immutably) but never recurrent state — state
     is created by :meth:`initial_state` and threaded through :meth:`step`
     by the caller, which is what makes one executor safely shareable by
-    every session and the server's dispatcher thread.
+    every session and the server's loop thread.
     """
 
     #: Feature width the executor expects (set by concrete classes).

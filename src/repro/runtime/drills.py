@@ -357,10 +357,14 @@ class BackendKill:
     def __init__(self, gateway: Any, fleet: Any):
         self.gateway, self.fleet = gateway, fleet
         self.node: str | None = None
+        #: The ``sessions_placed`` snapshot the kill chose its node from.
+        self.placed: dict[str, int] = {}
 
     def fire(self) -> None:
-        placed = {entry["backend"]: entry["sessions_placed"]
-                  for entry in _cluster_health(self.gateway)["backends"]}
+        self.placed = placed = {
+            entry["backend"]: entry["sessions_placed"]
+            for entry in _cluster_health(self.gateway)["backends"]
+        }
         keys = self.fleet.keys
         index = max(range(len(keys)), key=lambda i: placed.get(keys[i], 0))
         self.node = keys[index]

@@ -3,8 +3,9 @@
 The network front-end over the PR-4 runtime stack: a stdlib-asyncio,
 newline-delimited-JSON TCP server (:class:`NetServer`) whose parent
 process owns only the protocol, with all model math in ``--workers N``
-worker processes — each loads the compiled ``.npz`` artifact and runs
-its own micro-batching :class:`repro.runtime.Server`.  Named streaming
+worker processes — each loads the compiled ``.npz`` artifact and steps
+its sessions' rows in the round core the in-process
+:class:`repro.runtime.Server` runs too.  Named streaming
 sessions route to a worker by stable hash of the session id, so carried
 recurrent state stays worker-local across pushes, connections and
 reconnects.  A matching blocking stdlib client (:class:`Client` /

@@ -7,18 +7,15 @@ cannot.  Session state lives here: the parent routes every request for
 a session name to the same worker (stable hash), so the recurrent state
 never crosses a process boundary.
 
-Scheduling is one loop on one thread, in rounds.  Each round drains the
-request ring and the control queue (without blocking while any session
-is busy), then takes the next row of every busy session — oldest first,
-up to ``max_batch`` rows — and runs them in **one** ``step_rows`` call.
-The results feed back into each session's op, and a session whose op
-has rows left rejoins the back of the line.  A session runs one op at a
-time and contributes one row per round, so its order is strict, and a
-long ``push_many`` shares the rounds with other sessions, heartbeats
-and ``stats`` instead of holding them off until it ends.  By row
-isolation a coalesced row computes exactly the bytes a lone one would,
-so a ``push_many`` batch's logits are byte-identical to the equivalent
-sequence of single pushes, however the rounds grouped them.
+Scheduling is one loop on one thread, hosting the round core of
+:mod:`repro.runtime.rounds` that the in-process
+:class:`~repro.runtime.Server` runs too.  Each pass drains the request
+ring and the control queue (without blocking while any session is
+busy), then steps one round in one ``step_rows`` call, so a long
+``push_many`` shares the rounds with other sessions, heartbeats and
+``stats`` instead of holding them off until it ends.  What this module
+adds is the wire policy: request decoding, the control ops' replies,
+the session table's TTL and LRU cap, publishing results, and faults.
 
 Transport: every worker has a :class:`~repro.runtime.net.ring.RingPair`.
 Request payloads arrive in shared-memory ring slots and result payloads
@@ -86,13 +83,12 @@ from repro.runtime.net.ring import (
     ring_doorbell,
     take_doorbell,
 )
-from repro.runtime.server import ServerStats
+from repro.runtime.rounds import Lane, Op, Rounds, ServerStats
 
 __all__ = ["worker_main"]
 
-_OP_NAMES = {OP_OPEN: "open", OP_PUSH: "push", OP_PUSH_MANY: "push_many",
-             OP_RESET: "reset", OP_CLOSE: "close", OP_EVICT: "evict",
-             OP_GENERATE: "generate", OP_SCORE: "score"}
+#: The reply ``type`` of each op whose result is a payload.
+_OP_NAMES = {OP_PUSH: "push", OP_PUSH_MANY: "push_many", OP_SCORE: "score"}
 
 
 def _watch_parent(shm_name: str) -> None:
@@ -135,63 +131,22 @@ def _error(error: BaseException) -> dict:
     }
 
 
-class _WireSession:
-    """One named stream's worker-side state: strictly ordered op queue."""
+class _WireSession(Lane):
+    """One named stream's worker-side lane."""
 
-    __slots__ = ("name", "state", "frames", "ops", "current", "last_used")
+    __slots__ = ("name", "last_used")
 
     def __init__(self, name: str, state: Any):
+        super().__init__(state)
         self.name = name
-        self.state = state
-        self.frames = 0
-        self.ops: deque[_Op] = deque()
-        self.current: _Op | None = None  # the op whose rows are stepping
-        self.last_used = time.monotonic()  # refreshed on every accepted op
-
-    @property
-    def busy(self) -> bool:
-        return self.current is not None
-
-
-class _Op:
-    """One accepted session op, with multi-frame progress for push_many.
-
-    A workload op (``generate``/``score``) carries a *row driver*
-    instead of pre-materialized rows: each row to step comes from
-    ``driver.next_row()`` and its logits go back through
-    ``driver.feed()`` — the identical driver classes every in-process
-    surface runs, which is why the emitted bytes cannot differ.
-    """
-
-    __slots__ = ("ticket", "op", "rows", "many", "cursor", "collected",
-                 "driver")
-
-    def __init__(self, ticket: int, op: int,
-                 rows: np.ndarray | None, many: bool, driver: Any = None):
-        self.ticket = ticket
-        self.op = op
-        self.rows = rows  # (K, D) float64; push applies row 0 only
-        self.many = many
-        self.cursor = 0
-        self.collected: list[np.ndarray] = []
-        self.driver = driver  # workload row driver (generate/score)
-
-    def next_row(self) -> np.ndarray:
-        # A driver's next row comes from its state machine (for generate
-        # it one-hots the token just sampled from the previous row's
-        # logits); plain pushes index their materialized rows.
-        if self.driver is not None:
-            return self.driver.next_row()
-        return self.rows[self.cursor]
+        self.last_used = time.monotonic()  # refreshed by every op
 
 
 class _Scheduler:
-    """Every session of one worker, and the rounds that step their rows.
+    """Every session of one worker, on the round core.
 
     Single-threaded: the consumer thread calls every method, so no
-    state here needs a lock.  ``_ready`` holds the busy sessions in the
-    order their next rows step; :meth:`step_round` takes rows from its
-    front and a session with rows left rejoins at its back.
+    state here needs a lock.
     """
 
     def __init__(self, index: int, compiled: Any, rings: RingPair,
@@ -200,7 +155,6 @@ class _Scheduler:
                  faults: FaultInjector | None = None):
         self._index = index
         self._executor = compiled.executor()
-        self._max_batch = max_batch
         self._rings = rings
         self._bell_fd = bell.fileno()
         self._replies = replies
@@ -215,28 +169,22 @@ class _Scheduler:
             "worker": index,
         }
         self._sessions: dict[str, _WireSession] = {}
-        self._ready: deque[_WireSession] = deque()
+        self._rounds = Rounds(max_batch, done=self._done,
+                              control=self._control)
         self._emit_seq = 0
         self._evicted = {"idle": 0, "lru": 0, "admin": 0}
-        self._frames = self._batches = self._max_coalesced = 0
         self._opened = 0
 
     # ------------------------------------------------------------------
     @property
     def busy(self) -> bool:
         """True while some session has a row to step."""
-        return bool(self._ready)
+        return self._rounds.busy
 
     def stats(self) -> ServerStats:
         """Row and round counters for the ``stats`` reply."""
-        return ServerStats(
-            frames=self._frames,
-            batches=self._batches,
-            sessions_opened=self._opened,
-            sessions_active=len(self._sessions),
-            max_coalesced=self._max_coalesced,
-            max_batch=self._max_batch,
-        )
+        return self._rounds.stats(sessions_opened=self._opened,
+                                  sessions_active=len(self._sessions))
 
     def lifecycle_stats(self) -> dict:
         """Session-table counters for the ``stats`` reply."""
@@ -248,34 +196,19 @@ class _Scheduler:
         }
 
     def step_round(self) -> None:
-        """Step the next row of up to ``max_batch`` busy sessions at once.
-
-        One ``step_rows`` call for the whole round; a failure fails
-        every op in the round.
-        """
-        count = min(self._max_batch, len(self._ready))
-        batch = [self._ready.popleft() for _ in range(count)]
-        rows = np.stack([sess.current.next_row() for sess in batch])
-        self._frames += count
-        self._batches += 1
-        self._max_coalesced = max(self._max_coalesced, count)
+        """Step one round of the core in one ``step_rows`` call."""
+        rows, states = self._rounds.take()
         try:
-            logits, states = self._executor.step_rows(
-                rows, [sess.state for sess in batch]
-            )
+            logits, states = self._executor.step_rows(rows, states)
         except Exception as error:  # noqa: BLE001 — relayed to the clients
-            for sess in batch:
-                op_item, sess.current = sess.current, None
-                self._emit(op_item.ticket, _error(error))
-                self._pump_session(sess)
-            return
-        for index, sess in enumerate(batch):
-            self._complete(sess, logits[index], states[index])
+            self._rounds.fail(error)
+        else:
+            self._rounds.give(logits, states)
 
     def finish(self, timeout: float) -> None:
         """Step rounds until every accepted op has replied (shutdown)."""
         deadline = time.monotonic() + timeout
-        while self._ready and time.monotonic() < deadline:
+        while self.busy and time.monotonic() < deadline:
             self.step_round()
 
     # ------------------------------------------------------------------
@@ -326,9 +259,7 @@ class _Scheduler:
             except ReproError as error:
                 self._emit(ticket, _error(error))
                 return
-        sess.ops.append(_Op(ticket, op, rows, many=op == OP_PUSH_MANY,
-                            driver=driver))
-        self._pump_session(sess)
+        self._rounds.submit(sess, Op(op, ticket, rows=rows, driver=driver))
 
     def _coerce(self, op: int, payload: bytes | None,
                 shape: tuple[int, ...]) -> np.ndarray:
@@ -388,72 +319,69 @@ class _Scheduler:
             )
         return driver
 
-    def _pump_session(self, sess: _WireSession) -> None:
-        """Run the session's queued control ops up to its next row op."""
-        while not sess.busy and sess.ops:
-            op_item = sess.ops.popleft()
-            if op_item.op == OP_OPEN:
+    def _control(self, sess: _WireSession, op_item: Op) -> None:
+        """A control op's turn has come: apply it and reply."""
+        if op_item.kind == OP_OPEN:
+            self._emit(op_item.ticket, {
+                "ok": True, "type": "open", "session": sess.name,
+                "existing": True, "seq": sess.frames, **self.meta,
+            })
+        elif op_item.kind == OP_RESET:
+            sess.state = self._executor.initial_state(1)
+            sess.frames = 0
+            self._emit(op_item.ticket, {"ok": True, "type": "reset"})
+        else:  # OP_CLOSE, OP_EVICT
+            del self._sessions[sess.name]
+            for stale in sess.ops:
+                self._emit(stale.ticket, _error(ReproError(
+                    f"session {sess.name!r} was closed with this "
+                    "request still queued behind the close"
+                )))
+            sess.ops.clear()
+            if op_item.kind == OP_EVICT:
+                self._evicted["admin"] += 1
                 self._emit(op_item.ticket, {
-                    "ok": True, "type": "open", "session": sess.name,
-                    "existing": True, "seq": sess.frames, **self.meta,
+                    "ok": True, "type": "evict", "session": sess.name,
+                    "evicted": True,
                 })
-            elif op_item.op == OP_RESET:
-                sess.state = self._executor.initial_state(1)
-                sess.frames = 0
-                self._emit(op_item.ticket, {"ok": True, "type": "reset"})
-            elif op_item.op in (OP_CLOSE, OP_EVICT):
-                del self._sessions[sess.name]
-                for stale in sess.ops:
-                    self._emit(stale.ticket, _error(ReproError(
-                        f"session {sess.name!r} was closed with this "
-                        "request still queued behind the close"
-                    )))
-                sess.ops.clear()
-                if op_item.op == OP_EVICT:
-                    self._evicted["admin"] += 1
-                    self._emit(op_item.ticket, {
-                        "ok": True, "type": "evict", "session": sess.name,
-                        "evicted": True,
-                    })
-                else:
-                    self._emit(op_item.ticket, {"ok": True, "type": "close"})
-                return
             else:
-                sess.current = op_item
-                self._ready.append(sess)
+                self._emit(op_item.ticket, {"ok": True, "type": "close"})
 
-    def _complete(self, sess: _WireSession, logits: np.ndarray,
-                  state: Any) -> None:
-        """One stepped row's result: advance the op, reply when done."""
-        op_item = sess.current
-        sess.state = state
-        sess.frames += 1
+    def _done(self, sess: _WireSession, op_item: Op) -> None:
+        """A row op finished: reply with its result or its error.
+
+        Payload results (push, push_many, score) ride the response ring
+        when they fit; ``generate``'s small token list stays on the JSON
+        control plane.  Each carries the post-op ``seq`` so the client
+        can verify its advance.
+        """
         sess.last_used = time.monotonic()
-        if op_item.driver is None:
-            op_item.collected.append(logits)
-            op_item.cursor += 1
-            if op_item.cursor < len(op_item.rows):
-                self._ready.append(sess)
-                return
-            sess.current = None
-            self._emit_result(sess, op_item)
+        if op_item.error is not None:
+            # A driver's feed error leaves the session advanced by the
+            # rows already fed; the client's seq reconcile (reattach +
+            # journal replay) restores a known state.
+            self._emit(op_item.ticket, _error(op_item.error))
+            return
+        action = self._faults.on_publish() if self._faults else None
+        if action == "drop":
+            # A lost reply: no emit_seq is consumed (the op "never
+            # replied"), so only this one request hangs parent-side and
+            # the client's timeout + reattach is the recovery path.
+            return
+        if op_item.kind == OP_GENERATE:
+            self._replies.put(("res", op_item.ticket, self._next_emit(), {
+                "ok": True, "type": "generate", "seq": sess.frames,
+                "tokens": op_item.driver.result()["tokens"],
+            }))
+            return
+        if op_item.kind == OP_SCORE:
+            values = op_item.driver.result()["logprobs"]
+        elif op_item.kind == OP_PUSH_MANY:
+            values = np.stack(op_item.collected)
         else:
-            try:
-                op_item.driver.feed(logits)
-            except ReproError as error:
-                # e.g. NaN logits refusing to sample: the session state
-                # HAS advanced by the rows already fed, so the error
-                # reply leaves the client's seq reconcile (reattach +
-                # journal replay) to restore a known state.
-                sess.current = None
-                self._emit(op_item.ticket, _error(error))
-            else:
-                if not op_item.driver.done:
-                    self._ready.append(sess)
-                    return
-                sess.current = None
-                self._emit_driver_result(sess, op_item)
-        self._pump_session(sess)
+            values = op_item.collected[0]
+        self._publish(sess, op_item,
+                      np.ascontiguousarray(values, dtype=np.float64), action)
 
     # -- session lifecycle ---------------------------------------------
     def _evictable(self) -> list[_WireSession]:
@@ -509,62 +437,17 @@ class _Scheduler:
         """Control/error reply: always a dict on the queue, in emit order."""
         self._replies.put(("res", ticket, self._next_emit(), payload))
 
-    def _emit_result(self, sess: _WireSession, op_item: _Op) -> None:
-        """Logits reply: ring slot when it fits, queue dict otherwise."""
-        op_name = _OP_NAMES[op_item.op]
-        if op_item.many:
-            values = np.ascontiguousarray(
-                np.stack(op_item.collected), dtype=np.float64
-            )
-        else:
-            values = np.ascontiguousarray(
-                op_item.collected[0], dtype=np.float64
-            )
-        payload = values.astype("<f8", copy=False).tobytes()
-        action = self._faults.on_publish() if self._faults else None
-        if action == "drop":
-            # A lost reply: no emit_seq is consumed (the op "never
-            # replied"), so only this one request hangs parent-side and
-            # the client's timeout + reattach is the recovery path.
-            return
-        self._publish(sess, op_item, op_name, values, payload, action)
-
-    def _emit_driver_result(self, sess: _WireSession, op_item: _Op) -> None:
-        """A completed generate/score op's reply.
-
-        ``score`` results are payload arrays and ride the response ring
-        like push results (queue fallback when oversized); ``generate``
-        results are a small token list and stay on the JSON control
-        plane.  Both carry the post-op ``seq`` so the client can verify
-        its ``rows_total`` advance.
-        """
-        result = op_item.driver.result()
-        action = self._faults.on_publish() if self._faults else None
-        if action == "drop":
-            return  # lost reply: client timeout + reattach
-        if op_item.op == OP_SCORE:
-            values = np.ascontiguousarray(
-                result["logprobs"], dtype=np.float64
-            )
-            payload = values.astype("<f8", copy=False).tobytes()
-            self._publish(sess, op_item, "score", values, payload, action)
-            return
-        self._replies.put(("res", op_item.ticket, self._next_emit(), {
-            "ok": True, "type": "generate", "seq": sess.frames,
-            "tokens": result["tokens"],
-        }))
-
-    def _publish(self, sess: _WireSession, op_item: _Op, op_name: str,
-                 values: np.ndarray, payload: bytes,
+    def _publish(self, sess: _WireSession, op_item: Op, values: np.ndarray,
                  action: str | None) -> None:
         """One payload reply: ring slot + doorbell when it fits, else a
         queue dict carrying the raw bytes."""
+        payload = values.astype("<f8", copy=False).tobytes()
         emit_seq = self._next_emit()
         rings = self._rings
         if (
             len(payload) <= rings.responses.payload_capacity
             and rings.responses.try_push(
-                op_item.op, op_item.ticket, values.shape, payload,
+                op_item.kind, op_item.ticket, values.shape, payload,
                 seq_no=sess.frames, emit_seq=emit_seq,
             )
         ):
@@ -576,7 +459,8 @@ class _Scheduler:
                 ring_doorbell(self._bell_fd)
         else:
             self._replies.put(("res", op_item.ticket, emit_seq, {
-                "ok": True, "type": op_name, "seq": sess.frames,
+                "ok": True, "type": _OP_NAMES[op_item.kind],
+                "seq": sess.frames,
                 "raw": (payload, list(values.shape)),
             }))
 

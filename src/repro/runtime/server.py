@@ -1,22 +1,22 @@
 """Micro-batching inference server over one compiled model.
 
-Concurrent callers each hold a :class:`ServerSession` and push frames; a
-single dispatcher thread coalesces whatever pushes are pending (up to
-``max_batch``, waiting at most ``max_delay_s`` for stragglers) into one
-``step_rows`` backend call.  Because the backend contract requires *row
-isolation* — each coalesced row computes exactly the bytes a standalone
-batch-1 step would — micro-batching is semantically invisible: a session
-served this way returns byte-identical logits to the same stream pushed
-through a plain :class:`repro.runtime.Session`, regardless of how the
-scheduler happened to group frames.  What changes is throughput: the
-Python/numpy dispatch cost of a step is paid once per *batch* instead of
-once per *frame* (``repro bench --only runtime_session`` records the
-speedup).
+Concurrent callers each hold a :class:`ServerSession`.  Every session op
+(``push``, ``generate``, ``score``) is one op of the round core
+(:mod:`repro.runtime.rounds`), which the server steps on one loop
+thread: each round takes the next row of every busy session — oldest
+first, up to ``max_batch`` rows — into **one** ``step_rows`` backend
+call, with no wait for stragglers.  The caller blocks on its own op.
+Because the backend contract requires *row isolation* — each coalesced
+row computes exactly the bytes a standalone batch-1 step would —
+micro-batching is semantically invisible: a session served this way
+returns byte-identical logits to the same stream pushed through a plain
+:class:`repro.runtime.Session`, regardless of how the rounds grouped
+rows.  What changes is throughput: the Python/numpy dispatch cost of a
+step is paid once per *round* instead of once per *row* (``repro bench
+--only runtime_session`` records the speedup).
 
-This is the in-process server: caller threads, one dispatcher.  A
-:mod:`repro.runtime.net` worker needs neither; it coalesces its wire
-sessions' rows in its own single-threaded round loop and reports the
-same :class:`ServerStats`.
+A :mod:`repro.runtime.net` worker hosts the same core on its ring
+consumer, so both report the same :class:`ServerStats`.
 
 >>> with compiled.serve(max_batch=16) as server:
 ...     session = server.session()
@@ -26,110 +26,55 @@ same :class:`ServerStats`.
 from __future__ import annotations
 
 import threading
-import time
-from collections import deque
-from concurrent.futures import Future
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.runtime.coerce import coerce_frame
-from repro.runtime.workloads import WORKLOAD_REGISTRY, run_driver
+from repro.runtime.rounds import Lane, Op, Rounds, ServerStats
+from repro.runtime.workloads import WORKLOAD_REGISTRY
 
 __all__ = ["Server", "ServerSession", "ServerStats"]
 
 
-@dataclass(frozen=True)
-class ServerStats:
-    """A snapshot of one server's scheduling counters."""
+class _Lane(Lane):
+    """A session's lane, with the condition its blocked caller waits on."""
 
-    frames: int
-    batches: int
-    sessions_opened: int
-    sessions_active: int
-    max_coalesced: int
-    max_batch: int
+    __slots__ = ("wake",)
 
-    @property
-    def mean_coalesced(self) -> float:
-        """Average rows per backend call — the micro-batching win."""
-        return self.frames / self.batches if self.batches else 0.0
-
-    def describe(self) -> str:
-        return (
-            f"server: {self.frames} frames in {self.batches} batches "
-            f"(mean {self.mean_coalesced:.2f}, max {self.max_coalesced} of "
-            f"{self.max_batch} rows), {self.sessions_active}/"
-            f"{self.sessions_opened} sessions active"
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-ready snapshot (the net layer's ``stats`` reply format)."""
-        return {
-            "frames": self.frames,
-            "batches": self.batches,
-            "sessions_opened": self.sessions_opened,
-            "sessions_active": self.sessions_active,
-            "max_coalesced": self.max_coalesced,
-            "max_batch": self.max_batch,
-            "mean_coalesced": self.mean_coalesced,
-        }
-
-
-class _Request:
-    __slots__ = ("session", "frame", "state", "future")
-
-    def __init__(self, session: Any, frame: np.ndarray, state: Any):
-        self.session = session
-        self.frame = frame
-        self.state = state
-        self.future: Future = Future()
+    def __init__(self, state: Any, lock: threading.Lock):
+        super().__init__(state)
+        self.wake = threading.Condition(lock)
 
 
 class Server:
     """Thread-based micro-batching scheduler for concurrent sessions.
 
-    ``max_batch`` bounds rows per backend call; ``max_delay_s`` is how
-    long the dispatcher holds an under-full batch open for more pushes
-    (clients that push in lockstep — the steady serving state — coalesce
-    fully without ever waiting the whole window).  Close with
-    :meth:`close` or use as a context manager; pending pushes are drained
+    ``max_batch`` bounds rows per backend call.  Close with
+    :meth:`close` or use as a context manager; accepted ops are drained
     before shutdown.
     """
 
-    def __init__(
-        self,
-        compiled: Any,
-        max_batch: int = 16,
-        max_delay_s: float = 0.002,
-    ):
+    def __init__(self, compiled: Any, max_batch: int = 16):
         if max_batch < 1:
             raise ConfigError(f"max_batch must be positive, got {max_batch}")
-        if max_delay_s < 0:
-            raise ConfigError(f"max_delay_s must be >= 0, got {max_delay_s}")
         self._compiled = compiled
         self._executor = compiled.executor()
-        self.max_batch = max_batch
-        self.max_delay_s = max_delay_s
 
-        self._cond = threading.Condition()
-        self._queue: deque[_Request] = deque()  # guarded-by: _cond
-        # Sessions whose frames were in the previous batch: mid-stream, so
-        # their next push is expected momentarily (the lockstep pattern).
-        self._expected: set[int] = set()  # guarded-by: _cond
-        self._closed = False  # guarded-by: _cond
-        self._frames = 0  # guarded-by: _cond
-        self._batches = 0  # guarded-by: _cond
-        self._max_coalesced = 0  # guarded-by: _cond
-        self._sessions_opened = 0  # guarded-by: _cond
-        self._sessions_active = 0  # guarded-by: _cond
+        # One lock guards the core; the loop waits on ``_work`` and each
+        # caller on its own lane's condition over the same lock.
+        self._lock = threading.Lock()
+        self._work = threading.Condition(self._lock)
+        self._rounds = Rounds(max_batch, done=self._done)  # guarded-by: _lock
+        self._closed = False  # guarded-by: _lock
+        self._sessions_opened = 0  # guarded-by: _lock
+        self._sessions_active = 0  # guarded-by: _lock
 
-        self._dispatcher = threading.Thread(
+        self._thread = threading.Thread(
             target=self._loop, name="repro-runtime-server", daemon=True
         )
-        self._dispatcher.start()
+        self._thread.start()
 
     # ------------------------------------------------------------------
     @property
@@ -138,7 +83,7 @@ class Server:
 
     def session(self) -> "ServerSession":
         """Open a width-1 streaming session multiplexed onto this server."""
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise ConfigError("server is closed")
             self._sessions_opened += 1
@@ -146,50 +91,32 @@ class Server:
         return ServerSession(self)
 
     def stats(self) -> ServerStats:
-        with self._cond:
-            return ServerStats(
-                frames=self._frames,
-                batches=self._batches,
+        with self._lock:
+            return self._rounds.stats(
                 sessions_opened=self._sessions_opened,
                 sessions_active=self._sessions_active,
-                max_coalesced=self._max_coalesced,
-                max_batch=self.max_batch,
             )
 
     def close(self) -> None:
-        """Drain pending pushes, stop the dispatcher, reject new work.
+        """Drain accepted ops, stop the loop, reject new work.
 
         Safe (and equivalent) under concurrent calls: *every* caller
-        returns only after the dispatcher has exited and every queued
-        push has been resolved — completed normally during the drain, or
-        failed with :class:`ConfigError`.  A push blocked in
-        ``future.result()`` therefore can never outlive ``close()``.
+        returns only after the loop thread has exited, and so after
+        every accepted op has been answered — completed during the
+        drain, or failed with :class:`ConfigError` if the loop died.  A
+        caller blocked in ``push`` therefore can never outlive
+        ``close()``.
         """
-        with self._cond:
+        with self._lock:
             self._closed = True
-            self._cond.notify_all()
+            self._work.notify()
         # Join unconditionally (not just for the first caller): a second
         # concurrent close() must not return while the drain is still in
         # flight.  Joining a finished thread is a no-op; joining from the
-        # dispatcher itself (an executor callback closing its own server)
-        # cannot wait, so fall through to the queue sweep instead.
-        if threading.current_thread() is not self._dispatcher:
-            self._dispatcher.join()
-        self._fail_pending("server is closed")
-
-    def _fail_pending(self, reason: str) -> None:
-        """Fail every still-queued request — none may be silently dropped.
-
-        Normally the dispatcher drains the queue before exiting and this
-        sweeps nothing; it exists for the abnormal paths (dispatcher
-        death, close() from inside the dispatcher) where queued futures
-        would otherwise hang their callers forever.
-        """
-        with self._cond:
-            pending, self._queue = list(self._queue), deque()
-        for request in pending:
-            if not request.future.done():
-                request.future.set_exception(ConfigError(reason))
+        # loop itself (an executor callback closing its own server)
+        # cannot wait, and the loop drains once the callback returns.
+        if threading.current_thread() is not self._thread:
+            self._thread.join()
 
     def __enter__(self) -> "Server":
         return self
@@ -198,85 +125,52 @@ class Server:
         self.close()
 
     # ------------------------------------------------------------------
-    def _submit(self, session: Any, frame: np.ndarray, state: Any) -> Future:
-        request = _Request(session, frame, state)
-        with self._cond:
+    def _run(self, lane: _Lane, op: Op) -> Op:
+        """Submit ``op`` on ``lane`` and block until the loop finishes it."""
+        with self._lock:
             if self._closed:
                 raise ConfigError("server is closed")
-            self._queue.append(request)
-            self._cond.notify()  # only the dispatcher waits on the condition
-        return request.future
+            self._rounds.submit(lane, op)
+            self._work.notify()  # only the loop waits on _work
+            while not op.done:
+                lane.wake.wait()
+        if op.error is not None:
+            raise op.error
+        return op
 
-    def _release_session(self, session: Any) -> None:
-        with self._cond:
+    def _done(self, lane: _Lane, op: Op) -> None:  # holds-lock: _lock
+        lane.wake.notify_all()
+
+    def _release_session(self) -> None:
+        with self._lock:
             self._sessions_active -= 1
-            self._expected.discard(id(session))
-
-    def _fill_target(self) -> int:  # holds-lock: _cond
-        """Rows worth waiting for: sessions queued now or mid-stream.
-
-        Counting *open* sessions instead would let one idle-but-open
-        session (a client between utterances) make every other stream wait
-        the full ``max_delay_s`` window on every frame.  A session counts
-        only while it has a push queued or was in the immediately previous
-        batch — i.e. its next lockstep push is genuinely imminent.
-        """
-        live = {id(request.session) for request in self._queue}
-        live |= self._expected
-        return max(1, min(self.max_batch, len(live)))
 
     def _loop(self) -> None:
         try:
-            self._loop_inner()
+            while True:
+                with self._lock:
+                    while not self._rounds.busy and not self._closed:
+                        self._work.wait()
+                    if not self._rounds.busy:
+                        return  # closed, every accepted op answered
+                    rows, states = self._rounds.take()
+                try:
+                    logits, states = self._executor.step_rows(rows, states)
+                except Exception as error:  # noqa: BLE001 — relayed to callers
+                    with self._lock:
+                        self._rounds.fail(error)
+                else:
+                    with self._lock:
+                        self._rounds.give(logits, states)
         finally:
-            # Dispatcher exit — normal drain or death by unexpected
-            # exception.  Either way no queued future may be left to hang
-            # its caller: mark the server closed so new pushes are
-            # rejected, then fail anything still queued.
-            with self._cond:
+            # Loop exit — normal drain or death by unexpected exception.
+            # Either way no accepted op may be left to hang its caller:
+            # reject new work, then fail anything still queued.
+            with self._lock:
                 self._closed = True
-            self._fail_pending("server dispatcher exited with work queued")
-
-    def _loop_inner(self) -> None:
-        while True:
-            with self._cond:
-                while not self._queue and not self._closed:
-                    self._cond.wait()
-                if not self._queue and self._closed:
-                    return
-                # Micro-batching window: hold the batch open briefly so
-                # lockstep clients land in one backend call.  The target is
-                # re-derived as pushes arrive (a fresh session joining the
-                # window raises it; it never exceeds the rows that can
-                # actually show up, so the window cannot stall on idle or
-                # finished sessions).
-                if len(self._queue) < self._fill_target() and self.max_delay_s > 0:
-                    deadline = time.monotonic() + self.max_delay_s
-                    while (
-                        len(self._queue) < self._fill_target()
-                        and not self._closed
-                    ):
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._cond.wait(remaining)
-                count = min(self.max_batch, len(self._queue))
-                batch = [self._queue.popleft() for _ in range(count)]
-                self._expected = {id(request.session) for request in batch}
-                self._batches += 1
-                self._frames += count
-                self._max_coalesced = max(self._max_coalesced, count)
-            try:
-                frames = np.stack([request.frame for request in batch])
-                logits, states = self._executor.step_rows(
-                    frames, [request.state for request in batch]
+                self._rounds.abandon(
+                    ConfigError("server loop exited with work queued")
                 )
-                for index, request in enumerate(batch):
-                    request.future.set_result((logits[index], states[index]))
-            except BaseException as error:  # noqa: BLE001 — relayed to callers
-                for request in batch:
-                    if not request.future.done():
-                        request.future.set_exception(error)
 
 
 class ServerSession:
@@ -285,8 +179,8 @@ class ServerSession:
     Mirrors the :class:`repro.runtime.Session` surface (``push``,
     ``reset``, ``frames_pushed``) and the same byte-identity guarantee:
     the logits equal a standalone width-1 session on the same stream.
-    ``push`` blocks until the coalesced backend call returns, so a
-    session has at most one frame in flight and stays strictly ordered.
+    Each op blocks until the rounds that step its rows return, so a
+    session has at most one op in flight and stays strictly ordered.
     One session per caller thread; open as many as you need.
     """
 
@@ -298,14 +192,21 @@ class ServerSession:
         self._workload = getattr(
             server.compiled, "workload_info", None
         ) or WORKLOAD_REGISTRY.get("asr")
-        self._state = self._executor.initial_state(1)
-        self._frames = 0
+        self._lane = _Lane(self._executor.initial_state(1), server._lock)
         self._close_lock = threading.Lock()
         self._open = True  # guarded-by: _close_lock
 
     @property
     def frames_pushed(self) -> int:
-        return self._frames
+        return self._lane.frames
+
+    def _check_open(self) -> None:
+        # Read under the close lock: a concurrent close() publishes
+        # ``_open = False`` there, and an unsynchronized read could submit
+        # an op into a slot the server has already released.
+        with self._close_lock:
+            if not self._open:
+                raise ConfigError("session is closed")
 
     def push(self, frame: np.ndarray) -> np.ndarray:
         """One frame in, that frame's logits out.
@@ -315,35 +216,20 @@ class ServerSession:
         :func:`~repro.runtime.coerce.coerce_frame`, as a width-1
         :class:`repro.runtime.Session`.
         """
-        # Read under the close lock: a concurrent close() publishes
-        # ``_open = False`` there, and an unsynchronized read could submit
-        # a frame into a slot the server has already released.
-        with self._close_lock:
-            if not self._open:
-                raise ConfigError("session is closed")
+        self._check_open()
         frame, squeezed = coerce_frame(frame, 1, self._executor.input_size)
-        future = self._server._submit(self, frame[0], self._state)
-        logits, self._state = future.result()
-        self._frames += 1
+        (logits,) = self._server._run(self._lane, Op(rows=frame)).collected
         return logits if squeezed else logits[None, :]
 
     # ------------------------------------------------------------------
     # Workload ops (token-based sessions).
     # ------------------------------------------------------------------
-    def _step_row(self, row: np.ndarray) -> np.ndarray:
-        future = self._server._submit(self, row, self._state)
-        logits, self._state = future.result()
-        self._frames += 1
-        return logits
-
     def _run_op(self, op: str, params: dict) -> dict:
-        with self._close_lock:
-            if not self._open:
-                raise ConfigError("session is closed")
+        self._check_open()
         driver = self._workload.make_driver(
             op, vocab_size=self._executor.input_size, params=params
         )
-        return run_driver(driver, self._step_row)
+        return self._server._run(self._lane, Op(driver=driver)).driver.result()
 
     def generate(
         self,
@@ -356,8 +242,8 @@ class ServerSession:
     ) -> list[int]:
         """Sample ``steps`` tokens after ``prompt`` (lm workload only).
 
-        Each autoregressive row goes through the dispatcher, so it
-        coalesces with other sessions' pushes — and by row isolation the
+        Each autoregressive row joins the server's rounds, so it
+        coalesces with other sessions' rows — and by row isolation the
         tokens are byte-identical to a standalone
         :meth:`repro.runtime.Session.generate` with the same seed.
         """
@@ -378,8 +264,8 @@ class ServerSession:
 
     def reset(self) -> "ServerSession":
         """Zero the carried state, as between utterances.  Returns self."""
-        self._state = self._executor.initial_state(1)
-        self._frames = 0
+        self._lane.state = self._executor.initial_state(1)
+        self._lane.frames = 0
         return self
 
     def close(self) -> None:
@@ -388,7 +274,7 @@ class ServerSession:
             if not self._open:
                 return
             self._open = False
-        self._server._release_session(self)
+        self._server._release_session()
 
     def __enter__(self) -> "ServerSession":
         return self

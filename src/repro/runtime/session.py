@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.runtime.coerce import coerce_frame, coerce_stream
-from repro.runtime.workloads import WORKLOAD_REGISTRY, run_driver
+from repro.runtime.workloads import WORKLOAD_REGISTRY
 
 __all__ = ["Session"]
 
@@ -103,11 +103,6 @@ class Session:
     # ------------------------------------------------------------------
     # Workload ops (token-based sessions).
     # ------------------------------------------------------------------
-    def _step_row(self, row: np.ndarray) -> np.ndarray:
-        logits, self._state = self._executor.step(row[None, :], self._state)
-        self._frames += 1
-        return logits[0]
-
     def _run_op(self, op: str, params: dict) -> dict:
         if self._batch != 1:
             raise ConfigError(
@@ -117,7 +112,12 @@ class Session:
         driver = self._workload.make_driver(
             op, vocab_size=self._executor.input_size, params=params
         )
-        return run_driver(driver, self._step_row)
+        while (row := driver.next_row()) is not None:
+            logits, self._state = self._executor.step(row[None, :],
+                                                      self._state)
+            self._frames += 1
+            driver.feed(logits[0])
+        return driver.result()
 
     def generate(
         self,

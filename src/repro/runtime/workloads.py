@@ -20,9 +20,10 @@ Two ship built in:
 
 The op semantics live in *row drivers* — small state machines with a
 ``next_row() -> (D,) row | None`` / ``feed((C,) logits)`` surface — and
-every serving layer (in-process :class:`~repro.runtime.Session`, the
-micro-batching :class:`~repro.runtime.Server`, the net worker scheduler)
-drives the *same* driver classes.  That is what makes generation
+every serving layer (in-process :class:`~repro.runtime.Session`, and the
+round core of :mod:`repro.runtime.rounds` that the micro-batching
+:class:`~repro.runtime.Server` and the net workers run) drives the
+*same* driver classes.  That is what makes generation
 byte-identical across backends, transports, and process boundaries: only
 the transport differs, never the math.  A ``generate`` op advances the
 session by ``len(prompt) + steps - 1`` rows (the last sampled token is
@@ -55,7 +56,6 @@ __all__ = [
     "ScoreDriver",
     "generate_params",
     "score_params",
-    "run_driver",
     "MAX_GENERATE_STEPS",
 ]
 
@@ -247,22 +247,6 @@ class ScoreDriver:
                 f"score incomplete: {self._fed}/{self.rows_total} rows fed"
             )
         return {"logprobs": self._logprobs.copy()}
-
-
-def run_driver(
-    driver, step_row: Callable[[np.ndarray], np.ndarray]
-) -> dict[str, Any]:
-    """Drive an op to completion with a serial row→logits callable.
-
-    ``step_row`` maps a ``(D,)`` row to its ``(C,)`` logits.  This is the
-    loop every in-process surface uses; the net worker replicates the
-    same order through its scheduler, which is why the bytes agree.
-    """
-    while True:
-        row = driver.next_row()
-        if row is None:
-            return driver.result()
-        driver.feed(step_row(row))
 
 
 # ----------------------------------------------------------------------

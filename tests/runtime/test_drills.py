@@ -90,19 +90,14 @@ def test_kill_takes_a_loaded_node_and_the_drain_another(asr, capsys):
         kill = drills.BackendKill(gateway, fleet)
         drain = drills.Drain(gateway, fleet, kill)
         plan = drills.AsrPlan(asr, SESSIONS, FRAMES)
-        placed = {}
 
         def disrupt():
-            placed.update(
-                (entry["backend"], entry["sessions_placed"])
-                for entry in drills._cluster_health(gateway)["backends"]
-            )
             kill.fire()
             drain.fire()
 
         result = drills.soak(drills.gateway_target(gateway, 2), plan, disrupt)
     assert not result.errors
-    assert placed[kill.node] == max(placed.values()) > 0
+    assert kill.placed[kill.node] == max(kill.placed.values()) > 0
     assert drain.node not in (None, kill.node)
 
 

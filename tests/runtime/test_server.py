@@ -41,7 +41,7 @@ class TestConcurrentSessions:
             compiled.run(stream[:, None, :])[:, 0] for stream in streams
         ]
         results: list = [None] * sessions
-        with compiled.serve(max_batch=sessions, max_delay_s=0.01) as server:
+        with compiled.serve(max_batch=sessions) as server:
 
             def client(index: int) -> None:
                 with server.session() as session:
@@ -72,7 +72,7 @@ class TestConcurrentSessions:
         """Lockstep clients should land in shared backend calls."""
         sessions, frames = 4, 10
         streams = _streams(sessions, frames)
-        with compiled.serve(max_batch=sessions, max_delay_s=0.05) as server:
+        with compiled.serve(max_batch=sessions) as server:
             barrier = threading.Barrier(sessions)
 
             def client(index: int) -> None:
@@ -95,28 +95,6 @@ class TestConcurrentSessions:
         # grouping is timing-dependent, so assert the conservative bound.
         assert stats.batches < stats.frames
         assert stats.max_coalesced >= 2
-
-    def test_idle_open_session_does_not_throttle_active_one(self, compiled):
-        """An open-but-idle session must not count toward the fill target.
-
-        Regression: the scheduler once waited the full micro-batching
-        window on every frame whenever any *open* session was silent,
-        capping an active stream at ~1/max_delay_s frames/s.
-        """
-        import time
-
-        frames = 10
-        stream = _streams(1, frames, seed=9)[0]
-        with compiled.serve(max_batch=8, max_delay_s=0.25) as server:
-            idle = server.session()  # never pushes
-            active = server.session()
-            start = time.perf_counter()
-            for frame in stream:
-                active.push(frame)
-            elapsed = time.perf_counter() - start
-            idle.close()
-        # A stalled scheduler would need >= frames * 0.25s = 2.5s.
-        assert elapsed < 0.5 * frames * 0.25
 
     def test_reset_between_utterances(self, compiled):
         stream = _streams(1, 8)[0]
@@ -163,8 +141,6 @@ class TestServerLifecycle:
     def test_constructor_validation(self, compiled):
         with pytest.raises(ConfigError):
             Server(compiled, max_batch=0)
-        with pytest.raises(ConfigError):
-            Server(compiled, max_delay_s=-1.0)
 
     def test_stats_describe_mentions_coalescing(self, compiled):
         with compiled.serve() as server:
@@ -183,7 +159,7 @@ class TestCloseRace:
         and after the dust settles the server has released every slot.
         """
         frame = np.zeros(SPEC.input_size)
-        with compiled.serve(max_delay_s=0.0) as server:
+        with compiled.serve() as server:
             for _ in range(20):
                 session = server.session()
                 outcomes: list = []

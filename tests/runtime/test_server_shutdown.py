@@ -1,16 +1,16 @@
 """Shutdown-race regression tests for the micro-batching Server.
 
-These pin the PR-5 hardening guarantees with a deliberately slow backend
-stub (every ``step_rows`` sleeps), which keeps requests in flight long
-enough to make the races deterministic:
+These pin the shutdown guarantees with a deliberately slow backend stub
+(every ``step_rows`` sleeps), which keeps requests in flight long enough
+to make the races deterministic:
 
-* a ``push()`` blocked in ``future.result()`` while another thread calls
-  ``close()`` must never hang — every pending future either completes
-  normally during the drain or fails with ``ConfigError``;
+* a ``push()`` blocked on its op while another thread calls ``close()``
+  must never hang — every accepted op either completes normally during
+  the drain or fails with ``ConfigError``;
 * ``close()`` is idempotent and **equivalent** under concurrent calls:
   no caller returns while the drain is still in flight;
-* if the dispatcher thread dies, queued futures are failed instead of
-  hanging their callers forever (pre-PR they hung).
+* if the loop thread dies, queued ops are failed instead of hanging
+  their callers forever.
 """
 
 import threading
@@ -66,8 +66,7 @@ def _join_all(threads):
 class TestCloseDuringBlockedPush:
     def test_every_push_completes_or_fails_no_hang(self):
         """close() racing blocked pushes: all resolve, none hang."""
-        server = Server(SlowCompiled(delay_s=0.05), max_batch=4,
-                        max_delay_s=0.001)
+        server = Server(SlowCompiled(delay_s=0.05), max_batch=4)
         outcomes: list[str] = []
         lock = threading.Lock()
 
@@ -101,8 +100,7 @@ class TestCloseDuringBlockedPush:
 
     def test_queued_requests_drain_with_results(self):
         """Requests already queued at close() still compute (the drain)."""
-        server = Server(SlowCompiled(delay_s=0.05), max_batch=1,
-                        max_delay_s=0.0)
+        server = Server(SlowCompiled(delay_s=0.05), max_batch=1)
         results: dict[int, np.ndarray] = {}
         failures: list[int] = []
 
@@ -131,9 +129,8 @@ class TestCloseDuringBlockedPush:
 
 class TestConcurrentClose:
     def test_second_closer_waits_for_drain(self):
-        """No close() returns while the dispatcher is still draining."""
-        server = Server(SlowCompiled(delay_s=0.3), max_batch=1,
-                        max_delay_s=0.0)
+        """No close() returns while the loop is still draining."""
+        server = Server(SlowCompiled(delay_s=0.3), max_batch=1)
         session = server.session()
         pusher = threading.Thread(
             target=lambda: _swallow_config_error(
@@ -151,7 +148,7 @@ class TestConcurrentClose:
         def closer() -> None:
             barrier.wait()
             server.close()
-            alive_after_close.append(server._dispatcher.is_alive())
+            alive_after_close.append(server._thread.is_alive())
 
         closers = [
             threading.Thread(target=closer, name=f"closer-{i}", daemon=True)
@@ -173,23 +170,27 @@ class TestConcurrentClose:
             server.session()
 
 
-class TestDispatcherDeath:
-    def test_pending_futures_fail_instead_of_hanging(self, monkeypatch):
-        """A dead dispatcher must fail queued pushes, not strand them.
+class TestLoopDeath:
+    @pytest.mark.parametrize("where", ["take", "step_rows"])
+    def test_pending_ops_fail_instead_of_hanging(self, monkeypatch, where):
+        """A dead loop thread must fail queued pushes, not strand them.
 
-        Pre-PR, an unexpected exception on the dispatcher thread (forced
-        here via a poisoned ``_fill_target``) left every queued future
-        unresolved: the blocked ``push()`` hung forever and so did any
-        subsequent ``close()`` caller's expectations.  The exception still
-        escapes the dispatcher thread; it is captured and checked here.
+        An unexpected exception on the loop thread — a poisoned
+        ``Rounds.take`` before the round is taken, or one ``step_rows``
+        does not relay, mid-round — must not leave an accepted op
+        unanswered: the blocked ``push()`` would hang forever.  The
+        exception still escapes the loop thread; it is captured and
+        checked here.
         """
         escaped: list[BaseException] = []
         monkeypatch.setattr(
             threading, "excepthook", lambda args: escaped.append(args.exc_value)
         )
-        server = Server(SlowCompiled(delay_s=0.01), max_batch=4,
-                        max_delay_s=0.01)
-        server._fill_target = _raise_runtime_error  # poison the dispatcher
+        server = Server(SlowCompiled(delay_s=0.01), max_batch=4)
+        if where == "take":
+            server._rounds.take = _raise_poisoned  # poison the loop
+        else:
+            server._executor.step_rows = _raise_poisoned
         session = server.session()
         outcome: list[str] = []
 
@@ -207,9 +208,9 @@ class TestDispatcherDeath:
         # The server is now closed for business, loudly.
         with pytest.raises(ConfigError):
             server.session().push(np.zeros(INPUT))
-        server.close()  # returns promptly: dispatcher already dead
+        server.close()  # returns promptly: the loop is already dead
         assert len(escaped) == 1
-        assert type(escaped[0]) is RuntimeError
+        assert type(escaped[0]) is _Poisoned
         assert str(escaped[0]) == "poisoned scheduler (test-injected)"
 
 
@@ -220,5 +221,9 @@ def _swallow_config_error(fn, *args):
         pass
 
 
-def _raise_runtime_error() -> int:
-    raise RuntimeError("poisoned scheduler (test-injected)")
+class _Poisoned(BaseException):
+    """Not an ``Exception``: the loop does not relay it to callers."""
+
+
+def _raise_poisoned(*args):
+    raise _Poisoned("poisoned scheduler (test-injected)")

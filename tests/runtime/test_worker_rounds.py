@@ -1,20 +1,12 @@
-"""The NetServer worker's round loop, driven in one process.
+"""The round core, and the NetServer worker's wire policy around it.
 
-``_Scheduler`` is single-threaded and takes each parent request through
-``accept``, so its rounds run here without worker processes or sockets:
-the tests accept requests, step rounds by hand and read the replies off
-a list.  A recording executor wraps the real one, so every
-``step_rows`` call — its row count, which session each row came from,
-and an injected failure — is visible.  The invariants:
-
-* a round takes the next row of every busy session, oldest first, up to
-  ``max_batch`` rows, and a session with rows left rejoins the back;
-* a session runs one op at a time, so its replies keep request order
-  and control ops wait behind its row ops;
-* coalesced rows compute the bytes lone rows do, on both backends and
-  for the LM workload's ``score``/``generate`` drivers;
-* a ``step_rows`` failure fails every op in its round and nothing else;
-* ``finish`` replies to every accepted op, within its deadline.
+The round invariants are asserted once, against
+:class:`repro.runtime.rounds.Rounds` hosted as both servers host it,
+through a recording executor that shows every ``step_rows`` call's rows
+and can inject a failure.  The worker's single-threaded ``_Scheduler``
+runs here without worker processes or sockets, its replies read off a
+list: control-op order, malformed requests, the session table, the
+response ring, the LM drivers and ``finish``.
 """
 
 import json
@@ -24,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.config import RNNSpec
+from repro.errors import ConfigError
 from repro.lm import DEMO_TEXT, CharVocab, build_char_lm
 from repro.nn.rnn import StackedRNNClassifier
 from repro.runtime import Session, compile
@@ -40,6 +33,7 @@ from repro.runtime.net.ring import (
     RingPair,
 )
 from repro.runtime.net.worker import _Scheduler
+from repro.runtime.rounds import Lane, Op, Rounds
 from repro.runtime.workloads import generate_params
 
 SPEC = RNNSpec("lstm", 10, (32,), 6, block_sizes=(4,))
@@ -103,6 +97,41 @@ class _Recorder:
             error, self.fail_next = self.fail_next, None
             raise error
         return self._inner.step_rows(rows, states)
+
+
+class Core:
+    """The round core, hosted the way the servers host it, over a recorder.
+
+    ``finished`` lists the ops in the order the core finished them.
+    """
+
+    def __init__(self, compiled, *, max_batch=16):
+        self.recorder = _Recorder(compiled.executor())
+        self.finished = []
+        self.rounds = Rounds(
+            max_batch, done=lambda lane, op: self.finished.append(op)
+        )
+        self.lanes = {}
+
+    def submit(self, name, rows):
+        if name not in self.lanes:
+            self.lanes[name] = Lane(self.recorder.initial_state(1))
+        op = Op(rows=rows.reshape(-1, SPEC.input_size))
+        self.rounds.submit(self.lanes[name], op)
+        return op
+
+    def step(self):
+        rows, states = self.rounds.take()
+        try:
+            logits, states = self.recorder.step_rows(rows, states)
+        except RuntimeError as error:
+            self.rounds.fail(error)
+        else:
+            self.rounds.give(logits, states)
+
+    def run(self):
+        while self.rounds.busy:
+            self.step()
 
 
 class _Compiled:
@@ -235,66 +264,118 @@ class TestRounds:
         (8, [5, 5, 5]),
     ])
     def test_a_round_takes_one_row_of_each_busy_session(
-        self, make_worker, fixed_asr, max_batch, sizes
+        self, fixed_asr, max_batch, sizes
     ):
-        worker = make_worker(fixed_asr, max_batch=max_batch)
+        core = Core(fixed_asr, max_batch=max_batch)
         for tag in range(5):
-            worker.open(f"s{tag}")
-        for tag in range(5):
-            worker.push_many(f"s{tag}", _tagged(tag, 3))
-        worker.run()
-        assert [len(r) for r in worker.recorder.rounds] == sizes
-        for row_tags in worker.recorder.rounds:
+            core.submit(f"s{tag}", _tagged(tag, 3))
+        core.run()
+        assert [len(r) for r in core.recorder.rounds] == sizes
+        for row_tags in core.recorder.rounds:
             assert len(set(row_tags)) == len(row_tags)  # one row each
-        stats = worker.scheduler.stats()
+        stats = core.rounds.stats(sessions_opened=5, sessions_active=5)
         assert (stats.frames, stats.batches) == (15, len(sizes))
         assert stats.max_coalesced == max(sizes)
         assert stats.max_batch == max_batch
 
     def test_oldest_first_and_the_unfinished_rejoin_at_the_back(
-        self, make_worker, fixed_asr
+        self, fixed_asr
     ):
-        worker = make_worker(fixed_asr, max_batch=2)
-        for name in "abc":
-            worker.open(name)
-        worker.push_many("a", _tagged(1, 3))
-        worker.push("b", _tagged(2, 1)[0])
-        worker.push_many("c", _tagged(3, 2))
-        worker.run()
-        assert worker.recorder.rounds == [[1, 2], [3, 1], [3, 1]]
+        core = Core(fixed_asr, max_batch=2)
+        core.submit("a", _tagged(1, 3))
+        core.submit("b", _tagged(2, 1))
+        core.submit("c", _tagged(3, 2))
+        core.run()
+        assert core.recorder.rounds == [[1, 2], [3, 1], [3, 1]]
 
-    def test_a_session_added_mid_op_joins_the_next_round(
-        self, make_worker, fixed_asr
-    ):
-        worker = make_worker(fixed_asr)
-        worker.open("long")
-        worker.open("late")
-        worker.push_many("long", _tagged(1, 4))
-        worker.scheduler.step_round()
-        worker.push("late", _tagged(2, 1)[0])
-        worker.run()
-        assert worker.recorder.rounds == [[1], [1, 2], [1], [1]]
+    def test_a_session_added_mid_op_joins_the_next_round(self, fixed_asr):
+        core = Core(fixed_asr)
+        core.submit("long", _tagged(1, 4))
+        core.step()
+        core.submit("late", _tagged(2, 1))
+        core.run()
+        assert core.recorder.rounds == [[1], [1, 2], [1], [1]]
+
+    def test_a_session_runs_its_ops_one_at_a_time_in_order(self, fixed_asr):
+        core = Core(fixed_asr)
+        frames = _tagged(1, 4)
+        first = core.submit("s", frames[:3])
+        second = core.submit("s", frames[3])
+        core.run()
+        assert [len(r) for r in core.recorder.rounds] == [1, 1, 1, 1]
+        assert core.finished == [first, second]
+        expected = _standalone(fixed_asr, frames)
+        assert np.stack(first.collected).tobytes() == expected[:3].tobytes()
+        assert second.collected[0].tobytes() == expected[3].tobytes()
+        assert core.lanes["s"].frames == 4
 
     @pytest.mark.parametrize("backend", ["fixed", "float"])
     def test_coalesced_rows_compute_the_bytes_of_lone_rows(
-        self, make_worker, fixed_asr, float_asr, backend
+        self, fixed_asr, float_asr, backend
     ):
         compiled = {"fixed": fixed_asr, "float": float_asr}[backend]
         streams = [_tagged(tag, 6 + tag) for tag in range(4)]
         results = {}
         for max_batch in (1, 16):
-            worker = make_worker(compiled, max_batch=max_batch)
-            tickets = []
-            for tag, stream in enumerate(streams):
-                worker.open(f"s{tag}")
-                tickets.append(worker.push_many(f"s{tag}", stream))
-            worker.run()
-            results[max_batch] = [worker.values(t) for t in tickets]
-            assert worker.scheduler.stats().max_coalesced == min(max_batch, 4)
+            core = Core(compiled, max_batch=max_batch)
+            ops = [core.submit(f"s{tag}", stream)
+                   for tag, stream in enumerate(streams)]
+            core.run()
+            results[max_batch] = [np.stack(op.collected) for op in ops]
+            assert core.rounds.max_coalesced == min(max_batch, 4)
         for tag, stream in enumerate(streams):
             expected = _standalone(compiled, stream)
             assert results[1][tag].tobytes() == expected.tobytes()
             assert results[16][tag].tobytes() == expected.tobytes()
+
+    def test_a_step_rows_failure_fails_every_op_in_its_round(
+        self, fixed_asr
+    ):
+        core = Core(fixed_asr, max_batch=2)
+        frames = {name: _tagged(tag, 2) for tag, name in
+                  enumerate("abc", start=1)}
+        failed_a = core.submit("a", frames["a"])
+        failed_b = core.submit("b", frames["b"][0])
+        spared_c = core.submit("c", frames["c"][0])
+        after_a = core.submit("a", frames["a"][1])
+        error = RuntimeError("backend fell over")
+        core.recorder.fail_next = error
+        core.run()
+        assert core.recorder.rounds[0] == [1, 2]
+        assert core.finished[:2] == [failed_a, failed_b]
+        assert failed_a.error is error and failed_b.error is error
+        assert failed_a.collected == failed_b.collected == []
+        # The round's failure touched no state: c's row and a's next op
+        # run from where each session stood.
+        assert spared_c.error is None and after_a.error is None
+        expected_c = _standalone(fixed_asr, frames["c"][:1])
+        assert spared_c.collected[0].tobytes() == expected_c[0].tobytes()
+        expected_a = _standalone(fixed_asr, frames["a"][1:])
+        assert after_a.collected[0].tobytes() == expected_a[0].tobytes()
+        assert (core.lanes["a"].frames, core.lanes["b"].frames) == (1, 0)
+
+
+    def test_a_driver_refusing_its_logits_fails_only_its_op(
+        self, fixed_asr
+    ):
+        class Refusing:
+            done = False
+
+            def next_row(self):
+                return _tagged(2, 1)[0]
+
+            def feed(self, logits):
+                raise ConfigError("NaN logits")
+
+        core = Core(fixed_asr)
+        spared = core.submit("a", _tagged(1, 2))
+        lane = Lane(fixed_asr.executor().initial_state(1))
+        refused = Op(driver=Refusing())
+        core.rounds.submit(lane, refused)
+        core.run()
+        assert core.recorder.rounds == [[1, 2], [1]]
+        assert str(refused.error) == "NaN logits" and lane.frames == 1
+        assert spared.error is None and len(spared.collected) == 2
 
 
 # ----------------------------------------------------------------------
@@ -303,20 +384,6 @@ class TestRounds:
 
 
 class TestSessionOrder:
-    def test_one_op_at_a_time_in_request_order(self, make_worker, fixed_asr):
-        worker = make_worker(fixed_asr)
-        worker.open("s")
-        frames = _tagged(1, 4)
-        first = worker.push_many("s", frames[:3])
-        second = worker.push("s", frames[3])
-        worker.run()
-        assert [len(r) for r in worker.recorder.rounds] == [1, 1, 1, 1]
-        assert worker.order()[-2:] == [first, second]
-        expected = _standalone(fixed_asr, frames)
-        assert worker.values(first).tobytes() == expected[:3].tobytes()
-        assert worker.values(second).tobytes() == expected[3].tobytes()
-        assert worker.session_seq("s") == 4
-
     def test_a_reset_waits_behind_the_rows_before_it(
         self, make_worker, fixed_asr
     ):
@@ -370,35 +437,19 @@ class TestSessionOrder:
 
 
 class TestFailures:
-    def test_a_step_rows_failure_fails_every_op_in_its_round(
+    def test_a_failed_round_replies_with_its_error(
         self, make_worker, fixed_asr
     ):
-        worker = make_worker(fixed_asr, max_batch=2)
-        for name in "abc":
-            worker.open(name)
-        frames = {name: _tagged(tag, 2) for tag, name in
-                  enumerate("abc", start=1)}
-        failed_a = worker.push_many("a", frames["a"])
-        failed_b = worker.push("b", frames["b"][0])
-        spared_c = worker.push("c", frames["c"][0])
-        after_a = worker.push("a", frames["a"][1])
+        worker = make_worker(fixed_asr)
+        worker.open("s")
         worker.recorder.fail_next = RuntimeError("backend fell over")
+        ticket = worker.push("s", _tagged(1, 1)[0])
         worker.run()
-        assert worker.recorder.rounds[0] == [1, 2]
-        for ticket in (failed_a, failed_b):
-            reply = worker.reply(ticket)
-            assert reply["ok"] is False
-            assert (reply["kind"], reply["error"]) == (
-                "RuntimeError", "backend fell over"
-            )
-        # The round's failure touched no state: c's row and a's next op
-        # run from where each session stood.
-        expected_c = _standalone(fixed_asr, frames["c"][:1])
-        assert worker.values(spared_c).tobytes() == expected_c[0].tobytes()
-        expected_a = _standalone(fixed_asr, frames["a"][1:])
-        assert worker.values(after_a).tobytes() == expected_a[0].tobytes()
-        assert worker.session_seq("a") == 1
-        assert worker.session_seq("b") == 0
+        assert worker.reply(ticket) == {
+            "ok": False, "type": "error", "kind": "RuntimeError",
+            "error": "backend fell over",
+        }
+        assert worker.session_seq("s") == 0
 
     @pytest.mark.parametrize("shape", [
         (3, SPEC.input_size + 1),

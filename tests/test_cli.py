@@ -164,30 +164,6 @@ class TestServe:
         assert code == 1
         assert "SELFTEST FAILED" in capsys.readouterr().err
 
-    def test_net_serve_refuses_delay_ms(self, capsys):
-        """Workers have no batching window: the flag is refused before
-        anything is compiled or spawned, not silently ignored."""
-        code = main(self.SPEC_ARGS + [
-            "--selftest", "--port", "0", "--delay-ms", "5",
-        ])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "--delay-ms" in captured.err
-        assert "serving on" not in captured.out
-
-    def test_net_serve_refuses_an_explicit_zero_delay(self, capsys):
-        """``--delay-ms 0`` is set too: only an absent flag passes."""
-        code = main(self.SPEC_ARGS + [
-            "--selftest", "--port", "0", "--delay-ms", "0",
-        ])
-        assert code == 2
-        assert "--delay-ms" in capsys.readouterr().err
-
-    def test_in_process_serve_takes_delay_ms(self, capsys):
-        code = main(self.SPEC_ARGS + ["--selftest", "--delay-ms", "0"])
-        assert code == 0
-        assert "selftest ok" in capsys.readouterr().out
-
 
 class TestParser:
     def test_requires_subcommand(self):

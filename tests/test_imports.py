@@ -63,6 +63,14 @@ def test_worker_loads_no_build_side(tmp_path):
     assert loaded(setup, BUILD_SIDE) == []
 
 
+def test_worker_loads_no_in_process_server():
+    # The worker hosts the round core; the in-process Server's threads
+    # and condition variables are not on its path.
+    setup = "import repro.runtime.net.worker"
+    names = ["repro.runtime.server", "concurrent.futures"]
+    assert loaded(setup, names) == []
+
+
 def test_gateway_loads_no_numpy():
     # The launcher's import: the Gateway forwards payload bytes unparsed.
     setup = "from repro.runtime.cluster import BackendFleet, Gateway"
