@@ -542,17 +542,22 @@ class TestErrorFrames:
 
 
 class TestWorkerRounds:
-    def test_held_requests_coalesce_into_shared_rounds(self, fixed_compiled):
+    @pytest.mark.parametrize("backend,max_batch,per_round", [
+        ("fixed", 16, 2), ("fixed", 1, 1), ("float", 16, 2),
+    ])
+    def test_held_requests_coalesce_into_shared_rounds(
+        self, fixed_compiled, backend, max_batch, per_round
+    ):
         """Two sessions' ``push_many`` requests land in one ring drain
         (the worker stalls on reading the first), so every round steps
-        one row of each.  The round invariants themselves (the
-        ``max_batch`` cap, both backends' bytes) are asserted on the
-        round core in ``test_worker_rounds.py``."""
-        compiled, frames = fixed_compiled, 12
+        one row of each — up to ``max_batch`` rows per call — through
+        the real worker process, on both backends."""
+        compiled = fixed_compiled if backend == "fixed" else _compiled(backend)
+        frames = 12
         streams = _streams(2, frames, seed=47)
         names = ["round-a", "round-b"]
         with NetServer(
-            compiled, workers=1,
+            compiled, workers=1, max_batch=max_batch,
             faults="stall:after=2,seconds=0.5",  # after the two opens
         ) as server:
             with _client(server) as client:
@@ -569,8 +574,9 @@ class TestWorkerRounds:
                     replies[reply["id"]] = reply
                 (entry,) = client.stats()
         stats = entry["stats"]
-        assert stats["max_coalesced"] == 2
-        assert (stats["frames"], stats["batches"]) == (2 * frames, frames)
+        assert stats["max_coalesced"] == per_round
+        assert stats["frames"] == 2 * frames
+        assert stats["batches"] == 2 * frames // per_round
         for rid, stream in zip(rids, streams):
             assert replies[rid]["seq"] == frames
             got = Client._logits(replies[rid])

@@ -96,6 +96,31 @@ class TestConcurrentSessions:
         assert stats.batches < stats.frames
         assert stats.max_coalesced >= 2
 
+    def test_idle_open_session_does_not_throttle_active_one(self, compiled):
+        """An open-but-idle session must not hold back an active one.
+
+        Regression: the scheduler once waited a full micro-batching
+        window on every frame whenever any *open* session was silent,
+        capping an active stream at ~1/window frames/s.  A round steps
+        only sessions with queued work, so the idle one costs nothing.
+        """
+        import time
+
+        frames = 10
+        stream = _streams(1, frames, seed=9)[0]
+        with compiled.serve(max_batch=8) as server:
+            idle = server.session()  # never pushes
+            active = server.session()
+            start = time.perf_counter()
+            for frame in stream:
+                active.push(frame)
+            elapsed = time.perf_counter() - start
+            idle.close()
+            stats = server.stats()
+        # A scheduler waiting 0.25 s per frame would need >= 2.5 s.
+        assert elapsed < 0.5 * frames * 0.25
+        assert stats.frames == frames and stats.batches == frames
+
     def test_reset_between_utterances(self, compiled):
         stream = _streams(1, 8)[0]
         expected = compiled.run(stream[:, None, :])[:, 0]

@@ -165,6 +165,28 @@ class TestServe:
         assert "SELFTEST FAILED" in capsys.readouterr().err
 
 
+    def test_net_serve_refuses_delay_ms(self, capsys):
+        """Neither host has a batching window any more: the flag is
+        refused by the parser before anything is compiled or spawned,
+        not silently ignored."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.SPEC_ARGS + [
+                "--selftest", "--port", "0", "--delay-ms", "5",
+            ])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert "--delay-ms" in captured.err
+        assert "serving on" not in captured.out
+
+    def test_net_serve_refuses_an_explicit_zero_delay(self, capsys):
+        """``--delay-ms 0`` is refused too, in either serving mode."""
+        for extra in (["--port", "0"], []):
+            with pytest.raises(SystemExit) as exit_info:
+                main(self.SPEC_ARGS + ["--selftest", *extra, "--delay-ms", "0"])
+            assert exit_info.value.code == 2
+            assert "--delay-ms" in capsys.readouterr().err
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
