@@ -16,8 +16,10 @@ A :class:`Client` is single-threaded by design (one socket, strictly
 ordered request/reply); concurrent callers each open their own, exactly
 as with in-process sessions.
 
-Resilience (PR 8): a supervised server answers a dying worker's requests
-with **retryable** error frames, and a dropped connection surfaces as
+Every :class:`NetSession` op sends one request and waits for its reply,
+so a recovery never starts with a request of its own still unanswered.
+A supervised server answers a dying worker's requests with **retryable**
+error frames, and a dropped connection surfaces as
 :class:`~repro.runtime.net.protocol.ConnectionLostError`.  A
 :class:`NetSession` recovers from both on its own: it keeps a journal of
 every acknowledged frame since the last reset, and on a retryable
@@ -25,21 +27,22 @@ failure it reconnects, reopens the session by name, reconciles the
 server's ``seq`` against its own — and when the carried state is gone
 (the worker was restarted) it resets and replays the journal, so the
 stream's remaining logits are **byte-identical** to an uninterrupted
-run.  ``reattach=False`` restores the PR 5 fail-fast behaviour.
+run.  ``reattach=False`` fails fast instead.
 
 >>> client = Client("127.0.0.1", 7653)
 >>> session = client.session("caller-42")
 >>> posterior = session.push(frame)          # blocking round trip
->>> logits = session.run(frames, window=8)   # pipelined stream
+>>> logits = session.run(frames)             # push_many chunks, same bytes
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import socket
 import time
 from collections import deque
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -78,8 +81,15 @@ __all__ = ["Client", "NetSession"]
 #: recovery machinery gives up and lets the retryable error escape.
 _MAX_RECOVERY_CYCLES = 5
 
-#: Frames per replay batch (bounded by the server's push_many cap).
-_REPLAY_CHUNK = min(64, MAX_PUSH_MANY_FRAMES)
+#: Frames per ``push_many`` request when :meth:`NetSession.run` streams
+#: or a recovery replays the journal (bounded by the server's cap).
+_CHUNK_FRAMES = min(64, MAX_PUSH_MANY_FRAMES)
+
+
+def _chunks(rows: np.ndarray) -> Iterator[np.ndarray]:
+    """``(T, D)`` rows as consecutive ``_CHUNK_FRAMES``-row slices."""
+    for start in range(0, len(rows), _CHUNK_FRAMES):
+        yield rows[start:start + _CHUNK_FRAMES]
 
 
 class Client:
@@ -403,11 +413,12 @@ class NetSession:
     state: reconnect with the same name and the stream continues where it
     left off, on the same worker (stable-hash routing).
 
-    ``retries``/``backoff_s``/``max_backoff_s`` set the session's default
-    ``busy`` retry policy: the sleep grows linearly from ``backoff_s``
-    but never beyond ``max_backoff_s``, and after ``retries`` resends a
-    :class:`BusyError` carrying the server's advertised ``limit`` is
-    raised.
+    Every op sends one request and waits for its reply.
+    ``retries``/``backoff_s``/``max_backoff_s`` set the session's ``busy``
+    retry policy, the only one its ops use: the sleep grows linearly from
+    ``backoff_s`` but never beyond ``max_backoff_s``, and after
+    ``retries`` resends a :class:`BusyError` carrying the server's
+    advertised ``limit`` is raised.
 
     With ``reattach=True`` (the default) the session also recovers from
     retryable failures — worker deaths surfaced as retryable error
@@ -488,18 +499,13 @@ class NetSession:
     def frames_pushed(self) -> int:
         return self._frames
 
-    # ------------------------------------------------------------------
-    def _retry_policy(self, retries: Any, backoff_s: Any) -> tuple[int, float]:
-        retries = self._retries if retries is None else retries
-        backoff_s = self._backoff_s if backoff_s is None else backoff_s
-        return retries, backoff_s
-
     # -- reattach machinery --------------------------------------------
-    def _journal_append(self, row_bytes: bytes) -> None:
-        """Remember one acknowledged frame for a potential replay."""
+    def _journal_rows(self, rows: np.ndarray) -> None:
+        """Remember acknowledged ``(K, D)`` rows for a potential replay."""
         if not self._reattach or not self._journal_ok:
             return
-        self._journal.append(row_bytes)
+        for row in rows:
+            self._journal.append(row.astype("<f8", copy=False).tobytes())
         if len(self._journal) > self._journal_limit:
             # A partial journal cannot rebuild recurrent state (every
             # frame feeds the next), so past the cap the memory is
@@ -562,109 +568,110 @@ class NetSession:
         # self._frames stays the authoritative acked count throughout: if
         # the replay itself is interrupted, the next recovery pass sees
         # server seq != self._frames and replays from zero again.
-        rows = list(self._journal)
-        input_size = self._client.input_size
-        for start in range(0, len(rows), _REPLAY_CHUNK):
-            chunk = rows[start:start + _REPLAY_CHUNK]
-            payload = b"".join(chunk)
-            shape = (len(chunk), input_size)
-            if self._client.protocol >= 2:
-                def send(payload: bytes = payload,
-                         shape: tuple[int, int] = shape) -> int:
-                    return self._client._send_binary(
-                        BIN_PUSH_MANY, self._name, payload, shape
-                    )
-            else:
-                encoded = encode_array(
-                    np.frombuffer(payload, dtype="<f8").reshape(shape)
-                )
-                def send(encoded: dict = encoded) -> int:
-                    return self._client._send(
-                        "push_many", session=self._name, frames=encoded
-                    )
-            reply = self._push_with_retry(send, self._retries,
-                                          self._backoff_s)
-            got = reply.get("seq")
-            if got != start + len(chunk):
+        rows = np.frombuffer(b"".join(self._journal), dtype="<f8").reshape(
+            -1, self._client.input_size
+        )
+        replayed = 0
+        for chunk in _chunks(rows):
+            reply = self._request_rows(chunk)
+            replayed += len(chunk)
+            if reply.get("seq") != replayed:
                 raise NetError(
                     f"replay of session {self._name!r} desynced: expected "
-                    f"frame {start + len(chunk)}, server reports {got}"
+                    f"frame {replayed}, server reports {reply.get('seq')}"
                 )
-        self.replayed_frames += len(rows)
+        self.replayed_frames += replayed
 
-    def _push_with_retry(self, send: Any, retries: int,
-                         backoff_s: float) -> dict:
+    def _push_with_retry(self, send: Any) -> dict:
         """Resend through ``busy`` replies with a capped linear backoff.
 
-        Safe for a blocking push: nothing newer is in flight, so the
-        resend preserves stream order.  The refused frame was NOT
-        applied, which is also why exhaustion is an error the caller
-        must handle — dropping the frame silently would desync the
-        stream's carried state.
+        Safe because nothing newer is in flight, so the resend preserves
+        stream order.  The refused frame was NOT applied, which is also
+        why exhaustion is an error the caller must handle — dropping the
+        frame silently would desync the stream's carried state.
         """
-        for attempt in range(retries + 1):
+        for attempt in range(self._retries + 1):
             try:
                 return self._client._check(
                     self._client._recv_for(send())
                 )
             except BusyError as busy:
-                if attempt == retries:
+                if attempt == self._retries:
                     raise BusyError(
-                        f"server still busy after {retries + 1} attempts "
-                        f"(per-connection limit {busy.limit}); the frame "
-                        "was not applied — the stream is still in sync, "
-                        "retry later or raise the retry budget",
+                        f"server still busy after {self._retries + 1} "
+                        f"attempts (per-connection limit {busy.limit}); the "
+                        "frame was not applied — the stream is still in "
+                        "sync, retry later or raise the retry budget",
                         limit=busy.limit,
                     ) from None
                 time.sleep(min(self._max_backoff_s,
-                               backoff_s * (attempt + 1)))
+                               self._backoff_s * (attempt + 1)))
         raise AssertionError("unreachable")
 
-    def push(
-        self,
-        frame: np.ndarray,
-        retries: int | None = None,
-        backoff_s: float | None = None,
-    ) -> np.ndarray:
+    def _request_rows(self, rows: np.ndarray) -> dict:
+        """Send coerced float64 rows in one request, resent through
+        ``busy``: a ``(D,)`` frame as ``push``, ``(K, D)`` frames as
+        ``push_many``; a binary frame on a v2 connection, NDJSON on v1.
+
+        Called afresh on every recovery attempt, so the framing follows
+        the connection: a reconnect drops it back to v1 until the reopen
+        renegotiates.
+        """
+        many = rows.ndim == 2
+        if self._client.protocol >= 2:
+            send = functools.partial(
+                self._client._send_binary,
+                BIN_PUSH_MANY if many else BIN_PUSH, self._name,
+                rows.astype("<f8", copy=False).tobytes(), rows.shape,
+            )
+        elif many:
+            send = functools.partial(
+                self._client._send, "push_many", session=self._name,
+                frames=encode_array(rows),
+            )
+        else:
+            send = functools.partial(
+                self._client._send, "push", session=self._name,
+                frame=encode_array(rows),
+            )
+        return self._push_with_retry(send)
+
+    def _coerce_rows(self, frames: np.ndarray, op: str) -> np.ndarray:
+        """Validate and coerce a whole ``(K, D)`` batch before any of it
+        is sent: a bad frame anywhere raises with nothing applied."""
+        frames = np.asarray(frames)
+        if frames.ndim != 2:
+            raise NetError(f"{op} wants (K, D) frames, got {frames.shape}")
+        return np.ascontiguousarray(coerce_stream(
+            frames[:, None, :], self._client.input_size
+        )[:, 0, :])
+
+    def _push_chunk(self, rows: np.ndarray) -> np.ndarray:
+        """Coerced ``(K, D)`` rows as one ``push_many`` → ``(K, C)``."""
+        reply = self._with_recovery(lambda: self._request_rows(rows))
+        self._accept_seq(reply, len(rows))
+        self._journal_rows(rows)
+        return self._client._logits(reply).copy().reshape(
+            len(rows), self._client.num_classes
+        )
+
+    def push(self, frame: np.ndarray) -> np.ndarray:
         """One blocking frame: coerce, send, return its logits.
 
         Shapes mirror :meth:`repro.runtime.Session.push`: a bare ``(D,)``
         vector returns ``(C,)``; a ``(1, D)`` frame returns ``(1, C)``.
         """
         self._check_open()
-        retries, backoff_s = self._retry_policy(retries, backoff_s)
         coerced, squeezed = coerce_frame(frame, 1, self._client.input_size)
-        row = coerced[0]
-        raw = row.astype("<f8", copy=False).tobytes()
-
-        def send() -> int:
-            # Framing is re-chosen per attempt: a recovery may have
-            # reconnected, dropping the connection back to v1 until the
-            # reopen renegotiates.
-            if self._client.protocol >= 2:
-                return self._client._send_binary(
-                    BIN_PUSH, self._name, raw, row.shape
-                )
-            return self._client._send(
-                "push", session=self._name, frame=encode_array(row)
-            )
-
-        reply = self._with_recovery(
-            lambda: self._push_with_retry(send, retries, backoff_s)
-        )
+        reply = self._with_recovery(lambda: self._request_rows(coerced[0]))
         self._accept_seq(reply, 1)
-        self._journal_append(raw)
+        self._journal_rows(coerced)
         # copy(): the decoded logits view wire bytes; Session.push parity
         # means handing back a writable array.
         logits = self._client._logits(reply).copy()
         return logits if squeezed else logits[None, :]
 
-    def push_many(
-        self,
-        frames: np.ndarray,
-        retries: int | None = None,
-        backoff_s: float | None = None,
-    ) -> np.ndarray:
+    def push_many(self, frames: np.ndarray) -> np.ndarray:
         """``(K, D)`` frames in one round trip → ``(K, C)`` logits.
 
         One wire frame, one admission slot, one reply — the batched hot
@@ -674,40 +681,25 @@ class NetSession:
         single pushes; a rejected batch applies NOTHING.
         """
         self._check_open()
-        retries, backoff_s = self._retry_policy(retries, backoff_s)
-        frames = np.asarray(frames)
-        if frames.ndim != 2:
-            raise NetError(
-                f"push_many wants (K, D) frames, got shape {frames.shape}"
-            )
-        if len(frames) == 0:  # run() parity: nothing to send
+        rows = self._coerce_rows(frames, "push_many")
+        if len(rows) == 0:  # run() parity: nothing to send
             return np.empty((0, self._client.num_classes))
-        coerced = coerce_stream(
-            frames[:, None, :], self._client.input_size
-        )[:, 0, :]
-        payload = np.ascontiguousarray(coerced).astype(
-            "<f8", copy=False
-        ).tobytes()
+        return self._push_chunk(rows)
 
-        def send() -> int:
-            if self._client.protocol >= 2:
-                return self._client._send_binary(
-                    BIN_PUSH_MANY, self._name, payload, coerced.shape
-                )
-            return self._client._send(
-                "push_many", session=self._name, frames=encode_array(coerced)
-            )
+    def run(self, frames: np.ndarray) -> np.ndarray:
+        """A whole stream: ``(T, D)`` frames → ``(T, C)`` logits.
 
-        reply = self._with_recovery(
-            lambda: self._push_with_retry(send, retries, backoff_s)
-        )
-        self._accept_seq(reply, len(frames))
-        row_bytes = 8 * self._client.input_size
-        for start in range(0, len(payload), row_bytes):
-            self._journal_append(payload[start:start + row_bytes])
-        return self._client._logits(reply).copy().reshape(
-            len(frames), self._client.num_classes
-        )
+        The stream is validated and coerced up front, so a bad frame
+        anywhere raises with nothing sent; then it goes out as
+        ``push_many`` requests of up to 64 frames, each answered before
+        the next is sent.  Byte-identical to ``T`` blocking pushes.
+        """
+        self._check_open()
+        rows = self._coerce_rows(frames, "run()")
+        if len(rows) == 0:  # Session.run parity: empty stream, empty result
+            return np.empty((0, self._client.num_classes))
+        return np.concatenate([self._push_chunk(chunk)
+                               for chunk in _chunks(rows)])
 
     def generate(
         self,
@@ -717,8 +709,6 @@ class NetSession:
         temperature: float = 1.0,
         top_k: int = 0,
         seed: int = 0,
-        retries: int | None = None,
-        backoff_s: float | None = None,
     ) -> list[int]:
         """Seeded autoregressive sampling on the server (LM workload).
 
@@ -732,36 +722,24 @@ class NetSession:
         same tokens because the seed rides the request.
         """
         self._check_open()
-        retries, backoff_s = self._retry_policy(retries, backoff_s)
         params = generate_params(
             prompt, steps, temperature, top_k, seed,
             vocab_size=self._client.input_size,
         )
         rows_total = len(params["prompt"]) + params["steps"] - 1
-
-        def send() -> int:
-            return self._client._send(
-                "generate", session=self._name, **params
-            )
-
-        reply = self._with_recovery(
-            lambda: self._push_with_retry(send, retries, backoff_s)
+        send = functools.partial(
+            self._client._send, "generate", session=self._name, **params
         )
+        reply = self._with_recovery(lambda: self._push_with_retry(send))
         self._accept_seq(reply, rows_total)
         tokens = [int(token) for token in reply.get("tokens", ())]
         fed = np.asarray(
             params["prompt"] + tokens[:-1], dtype=np.int64
         )
-        for row in one_hot_rows(fed, self._client.input_size):
-            self._journal_append(row.astype("<f8", copy=False).tobytes())
+        self._journal_rows(one_hot_rows(fed, self._client.input_size))
         return tokens
 
-    def score(
-        self,
-        tokens: Any,
-        retries: int | None = None,
-        backoff_s: float | None = None,
-    ) -> np.ndarray:
+    def score(self, tokens: Any) -> np.ndarray:
         """Per-token log-probs for ``tokens[1:]`` (LM workload).
 
         ``K`` token ids in one round trip → ``(K-1,)`` float64
@@ -773,7 +751,6 @@ class NetSession:
         one-hots), journaled for replay like any other rows.
         """
         self._check_open()
-        retries, backoff_s = self._retry_policy(retries, backoff_s)
         params = score_params(tokens, vocab_size=self._client.input_size)
         ids = np.asarray(params["tokens"], dtype=np.int64)
         count = ids.shape[0] - 1
@@ -789,12 +766,9 @@ class NetSession:
                 "score", session=self._name, tokens=params["tokens"]
             )
 
-        reply = self._with_recovery(
-            lambda: self._push_with_retry(send, retries, backoff_s)
-        )
+        reply = self._with_recovery(lambda: self._push_with_retry(send))
         self._accept_seq(reply, count)
-        for row in one_hot_rows(ids[:-1], self._client.input_size):
-            self._journal_append(row.astype("<f8", copy=False).tobytes())
+        self._journal_rows(one_hot_rows(ids[:-1], self._client.input_size))
         values = reply.get("logits_array")
         if values is None:
             values = decode_array(reply["logprobs"])
@@ -816,151 +790,6 @@ class NetSession:
                 "dropped, duplicated or reordered; reset the session)"
             )
         self._frames = seq
-
-    def run(self, frames: np.ndarray, window: int = 8) -> np.ndarray:
-        """Pipelined streaming: ``(T, D)`` frames → ``(T, C)`` logits.
-
-        Keeps up to ``window`` pushes in flight (clamped to the server's
-        advertised ``queue_limit``, so a session that owns its connection
-        can never draw a per-connection ``busy``).  A ``busy`` drawn
-        from worker-ring saturation (another connection's traffic) is
-        recovered through the reattach path when later frames are
-        already in flight — a mid-pipeline refusal voids the
-        contiguous-apply order — or by plain backoff when the busy'd
-        frame was the only one outstanding.  Byte-identical to ``T``
-        blocking pushes — pipelining changes latency, not bytes.
-        """
-        self._check_open()
-        frames = np.asarray(frames)
-        if frames.ndim != 2:
-            raise NetError(f"run() wants (T, D) frames, got {frames.shape}")
-        window = max(1, min(window, self._client.queue_limit))
-        total = len(frames)
-        if total == 0:  # Session.run parity: empty stream, empty result
-            return np.empty((0, self._client.num_classes))
-        # Coerce and encode the WHOLE stream before sending anything: a
-        # bad frame discovered mid-pipeline would abandon in-flight
-        # replies and desynchronize the connection for good.  Up-front
-        # validation turns it into a clean error with nothing sent.
-        rows: list[np.ndarray] = []
-        raws: list[bytes] = []
-        for frame in frames:
-            coerced, _ = coerce_frame(frame, 1, self._client.input_size)
-            rows.append(coerced[0])
-            raws.append(coerced[0].astype("<f8", copy=False).tobytes())
-        out: list[np.ndarray | None] = [None] * total
-        pending: list[tuple[int, int]] = []  # (rid, frame index)
-        sent = 0
-        cycles = 0
-        busy_tries = 0
-        while sent < total or pending:
-            try:
-                while sent < total and len(pending) < window:
-                    if self._client.protocol >= 2:
-                        rid = self._client._send_binary(
-                            BIN_PUSH, self._name, raws[sent],
-                            rows[sent].shape,
-                        )
-                    else:
-                        rid = self._client._send(
-                            "push", session=self._name,
-                            frame=encode_array(rows[sent]),
-                        )
-                    pending.append((rid, sent))
-                    sent += 1
-                rid, index = pending[0]
-                reply = self._client._recv()
-                if reply.get("id") != rid:
-                    # ``busy`` verdicts are issued at admission time, so
-                    # one for a frame BEHIND the head can overtake the
-                    # ordered replies still owed to the head.  That
-                    # frame was skipped while later in-flight frames may
-                    # still apply, so the contiguous-apply guarantee is
-                    # gone; only the reattach path (seq reconcile +
-                    # journal replay + tail resend) restores the order.
-                    if reply.get("type") == "busy" and any(
-                        reply.get("id") == prid for prid, _ in pending
-                    ):
-                        # Busy replies arrive in admission order, so
-                        # everything ahead of the refused frame WAS
-                        # admitted: its position bounds the worker's
-                        # spare capacity.  Shrink the window toward it
-                        # (at least halving) so the resumed pipeline
-                        # stops re-saturating the ring and converges to
-                        # blocking pushes instead of thrashing through
-                        # recovery cycles.
-                        refused = next(
-                            position
-                            for position, (prid, _) in enumerate(pending)
-                            if prid == reply.get("id")
-                        )
-                        window = max(1, min(refused, window // 2))
-                        raise RetryableError(
-                            "a pipelined push was refused busy "
-                            "mid-stream (worker ring saturated); reopen "
-                            "and replay to recover the frame order"
-                        )
-                    # A retryable error is an admission verdict too: the
-                    # gateway refuses a frame behind the head at once
-                    # when its session was re-placed mid-pipeline.  Same
-                    # ordering hazard, same recovery.
-                    if reply.get("retryable") and any(
-                        reply.get("id") == prid for prid, _ in pending
-                    ):
-                        raise RetryableError(
-                            "a pipelined push was refused mid-stream "
-                            f"({reply.get('error')}); reopen and replay "
-                            "to recover the frame order"
-                        )
-                    raise NetError(
-                        f"reply id {reply.get('id')!r} does not match "
-                        f"request {rid} (one Client per thread; replies "
-                        "are strictly ordered)"
-                    )
-                try:
-                    reply = self._client._check(reply)
-                except BusyError:
-                    if len(pending) > 1:
-                        # Frames behind the busy'd head are in flight
-                        # and may apply without it — same ordering
-                        # hazard as above.
-                        window = max(1, window // 2)
-                        raise RetryableError(
-                            "a pipelined push was refused busy "
-                            "mid-stream (worker ring saturated); "
-                            "reopen and replay to recover the frame "
-                            "order"
-                        ) from None
-                    # Only the head was in flight, so nothing behind it
-                    # could have been applied: the blocking-push busy
-                    # contract holds — back off and resend this frame.
-                    busy_tries += 1
-                    if busy_tries > self._retries:
-                        raise
-                    pending.clear()
-                    sent = index
-                    time.sleep(min(self._max_backoff_s,
-                                   self._backoff_s * busy_tries))
-                    continue
-                busy_tries = 0
-                pending.pop(0)
-                self._accept_seq(reply, 1)
-                self._journal_append(raws[index])
-                out[index] = self._client._logits(reply)
-            except (RetryableError, UnknownSessionError) as error:
-                cycles += 1
-                if not self._reattach or cycles > _MAX_RECOVERY_CYCLES:
-                    raise
-                # Replies fail in per-session order, so the unanswered
-                # frames are exactly the contiguous tail from the oldest
-                # pending index on — none of them were applied.  Recover
-                # (reconnect discards whatever stale replies were in
-                # flight), then resend that tail.
-                resume = pending[0][1] if pending else sent
-                pending.clear()
-                self._recover(error)
-                sent = resume
-        return np.stack(out)  # type: ignore[arg-type]
 
     def reset(self) -> "NetSession":
         """Zero the carried state, as between utterances.  Returns self."""

@@ -98,7 +98,7 @@ class TestPublishFaults:
             faults="delay_publish:seconds=0.05,times=3",
         ) as server:
             with Client(*server.address, timeout=TIMEOUT) as client:
-                got = client.session("delayed").run(stream, window=4)
+                got = client.session("delayed").run(stream)
         assert got.tobytes() == _standalone(fixed_compiled, stream).tobytes()
 
     def test_drop_publish_recovered_by_client_timeout(self, fixed_compiled):

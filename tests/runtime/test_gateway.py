@@ -74,7 +74,7 @@ class TestByteIdentityThroughGateway:
         client = Client(*gw.address, timeout=TIMEOUT)
         try:
             for i, stream in enumerate(_streams(4, 20)):
-                got = client.session(f"ident-v2-{i}").run(stream, window=8)
+                got = client.session(f"ident-v2-{i}").run(stream)
                 assert np.array_equal(got, _standalone(compiled, stream))
         finally:
             client.close()
@@ -84,7 +84,7 @@ class TestByteIdentityThroughGateway:
         client = Client(*gw.address, timeout=TIMEOUT, protocol=1)
         try:
             for i, stream in enumerate(_streams(2, 16, seed=12)):
-                got = client.session(f"ident-v1-{i}").run(stream, window=4)
+                got = client.session(f"ident-v1-{i}").run(stream)
                 assert np.array_equal(got, _standalone(compiled, stream))
         finally:
             client.close()

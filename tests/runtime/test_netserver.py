@@ -34,6 +34,7 @@ from repro.runtime.net import (
     encode_array,
     route_session,
 )
+from repro.runtime.net.client import _CHUNK_FRAMES
 from repro.runtime.net.protocol import (
     MAX_PUSH_MANY_FRAMES,
     dump_line,
@@ -149,18 +150,25 @@ class TestProtocol:
 
 
 class TestNetByteIdentity:
-    def test_blocking_and_pipelined_match_standalone(
-        self, net_server, fixed_compiled
+    @pytest.mark.parametrize("protocol", [1, 2])
+    @pytest.mark.parametrize("frames", [10, 2 * _CHUNK_FRAMES + 7])
+    def test_blocking_and_run_match_standalone(
+        self, net_server, fixed_compiled, frames, protocol
     ):
-        stream = _streams(1, 10, seed=11)[0]
+        """``run`` sends push_many chunks; a stream longer than two of
+        them must still match blocking pushes and a standalone session."""
+        stream = _streams(1, frames, seed=11)[0]
         expected = _standalone(fixed_compiled, stream)
-        with _client(net_server) as client:
-            blocking = client.session("identity-blocking")
+        with Client(*net_server.address, timeout=TIMEOUT,
+                    protocol=protocol) as client:
+            blocking = client.session(f"identity-blocking-{frames}-{protocol}")
             got_blocking = np.stack([blocking.push(f) for f in stream])
-            pipelined = client.session("identity-pipelined")
-            got_pipelined = pipelined.run(stream, window=4)
+            streamed = client.session(f"identity-run-{frames}-{protocol}")
+            got_run = streamed.run(stream)
+            assert client.protocol == protocol
         assert np.array_equal(got_blocking, expected)
-        assert np.array_equal(got_pipelined, expected)
+        assert got_run.tobytes() == expected.tobytes()
+        assert streamed.frames_pushed == frames
 
     def test_float_backend_over_the_wire(self):
         compiled = _compiled("float")
@@ -314,19 +322,22 @@ class TestErrorFrames:
     def test_run_validates_whole_stream_before_sending(
         self, net_server, fixed_compiled
     ):
-        """Review regression: a bad frame discovered mid-pipeline used to
-        abandon in-flight replies and desynchronize the connection."""
-        stream = _streams(1, 12, seed=43)[0].copy()
-        stream[7, 0] = np.nan  # poison a LATER frame
+        """A bad frame in a later push_many chunk raises before the
+        first chunk is sent."""
+        stream = _streams(1, 2 * _CHUNK_FRAMES, seed=43)[0].copy()
+        stream[_CHUNK_FRAMES + 7, 0] = np.nan  # poison the SECOND chunk
         with _client(net_server) as client:
             session = client.session("late-poison")
             with pytest.raises(ConfigError, match="NaN or Inf"):
-                session.run(stream, window=4)
+                session.run(stream)
             # Nothing was sent: the session is untouched and the
             # connection is still in sync.
             assert session.frames_pushed == 0
+            seqs = {entry["session"]: entry["seq"]
+                    for entry in client.sessions()}
+            assert seqs["late-poison"] == 0
             good = _streams(1, 4, seed=44)[0]
-            got = session.run(good, window=4)
+            got = session.run(good)
             assert np.array_equal(got, _standalone(fixed_compiled, good))
 
     def test_session_close_is_idempotent(self, net_server):
@@ -655,15 +666,6 @@ class TestBackpressure:
             got = decode_array(replies[rid]["logits"])
             assert np.array_equal(got, expected)
 
-    def test_windowed_pipelining_never_draws_busy(self, fixed_compiled):
-        """run() clamps its window to queue_limit: no busy possible."""
-        stream = _streams(1, 30, seed=31)[0]
-        with NetServer(fixed_compiled, workers=1, queue_limit=4) as server:
-            with Client(*server.address, timeout=TIMEOUT) as client:
-                session = client.session("windowed")
-                got = session.run(stream, window=64)  # clamped to 4
-        assert np.array_equal(got, _standalone(fixed_compiled, stream))
-
 
 # ----------------------------------------------------------------------
 # Drain on close.
@@ -701,6 +703,50 @@ class TestDrain:
         with pytest.raises(NetError, match="closed the connection"):
             client.request("ping")
         client.close()
+
+    def test_replies_to_a_departed_client_are_dropped_quietly(
+        self, fixed_compiled, caplog
+    ):
+        """A client that sends pushes and closes its connection without
+        reading the replies: the server must drop them quietly rather
+        than log asyncio's teardown noise.  A held first publish keeps
+        every reply owed until after the close."""
+        import time
+
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        frames = 24
+        stream = _streams(1, frames, seed=43)[0]
+        with NetServer(
+            fixed_compiled, workers=1,
+            faults="delay_publish:seconds=0.3,times=1",
+        ) as server:
+            client = Client(*server.address, timeout=TIMEOUT)
+            client.session("departed")
+            for frame in stream:
+                client._send(
+                    "push", session="departed", frame=encode_array(frame)
+                )
+            client.close()
+            # The session outlives its connection: once its seq reaches
+            # the stream's length every owed reply has been settled.
+            with Client(*server.address, timeout=TIMEOUT) as probe:
+                deadline = time.monotonic() + TIMEOUT
+                while frames not in [entry["seq"] for entry
+                                     in probe.sessions()
+                                     if entry["session"] == "departed"]:
+                    assert time.monotonic() < deadline, "pushes never applied"
+                    time.sleep(0.01)
+        gc.collect()  # an unretrieved exception is logged on collection
+        noise = [
+            record.getMessage() for record in caplog.records
+            if record.name == "asyncio" and any(
+                text in record.getMessage() for text in (
+                    "socket.send() raised exception",
+                    "Future exception was never retrieved",
+                )
+            )
+        ]
+        assert noise == []
 
     def test_close_is_idempotent(self, fixed_compiled):
         server = NetServer(fixed_compiled, workers=1).start()
@@ -746,9 +792,7 @@ class TestSoak:
                 try:
                     with Client(*server.address, timeout=TIMEOUT) as client:
                         session = client.session(f"soak-{index}")
-                        results[index] = session.run(
-                            streams[index], window=8
-                        )
+                        results[index] = session.run(streams[index])
                         assert session.frames_pushed == frames
                         discarded[index] = session.discarded_frames
                         recoveries[index] = session.recoveries
@@ -773,11 +817,12 @@ class TestSoak:
 
         assert not errors, f"soak errors: {errors}"
         served = sum(entry["stats"]["frames"] for entry in entries)
-        # Every frame once, plus the frames a busy-overtake recovery
-        # reset away and recomputed (see the deterministic test below).
-        assert served == clients * frames + sum(discarded), (
+        # Every frame exactly once: with one request in flight per
+        # session a busy is resent, never recovered by a reset.
+        assert served == clients * frames, (
             f"recoveries {recoveries}, discarded frames {discarded}"
         )
+        assert recoveries == [0] * clients
         for index in range(clients):
             assert results[index] is not None, f"stream {index} dropped"
             assert np.array_equal(results[index], expected[index]), (
@@ -790,47 +835,6 @@ class TestSoak:
             if entry["stats"]["frames"] > 0
         ]
         assert len(busy_workers) == 2
-
-    def test_busy_overtake_recomputes_exactly_the_discarded_frames(
-        self, fixed_compiled, caplog
-    ):
-        """A ``busy`` that overtakes the pipeline head forces a reset and
-        replay; the frames the server had applied and the reset threw
-        away are computed twice, and ``discarded_frames`` counts them.
-
-        Two ring slots and a held first response make it deterministic:
-        frames 1-2 take both result slots, so frame 3's ``busy`` reaches
-        the client before frame 1's result does.  The recovery closes a
-        connection with replies still in flight; the server must drop
-        them quietly rather than log asyncio's teardown noise.
-        """
-        caplog.set_level(logging.WARNING, logger="asyncio")
-        frames = 24
-        stream = _streams(1, frames, seed=43)[0]
-        with NetServer(
-            fixed_compiled, workers=1, ring_slots=2,
-            faults="delay_publish:seconds=0.3,times=1",
-        ) as server:
-            with Client(*server.address, timeout=TIMEOUT) as client:
-                session = client.session("overtaken")
-                got = session.run(stream, window=8)
-                entries = client.stats()
-        assert session.recoveries >= 1
-        assert session.discarded_frames >= 1
-        served = sum(entry["stats"]["frames"] for entry in entries)
-        assert served == frames + session.discarded_frames
-        assert np.array_equal(got, _standalone(fixed_compiled, stream))
-        gc.collect()  # an unretrieved exception is logged on collection
-        noise = [
-            record.getMessage() for record in caplog.records
-            if record.name == "asyncio" and any(
-                text in record.getMessage() for text in (
-                    "socket.send() raised exception",
-                    "Future exception was never retrieved",
-                )
-            )
-        ]
-        assert noise == []
 
 
 def test_session_names_route_both_workers():

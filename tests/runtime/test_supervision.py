@@ -41,8 +41,10 @@ from repro.runtime.net import (
     NetServer,
     RetryableError,
     UnknownSessionError,
+    encode_array,
     route_session,
 )
+from repro.runtime.net.client import _CHUNK_FRAMES
 from repro.runtime.net.ring import RingPair
 
 SPEC = RNNSpec("lstm", 10, (32,), 6, block_sizes=(4,))
@@ -216,7 +218,7 @@ class TestSupervision:
                 # degraded answer is non-retryable by design.
                 with pytest.raises(NetError, match="unavailable"):
                     client.session(_name_routed_to(victim, 2, "doomed2"))
-                got = client.session(survivor_name).run(stream, window=4)
+                got = client.session(survivor_name).run(stream)
                 assert got.tobytes() == want.tobytes()
                 health = client.health()
                 states = {w["worker"]: w["state"] for w in health["workers"]}
@@ -253,7 +255,7 @@ class TestSupervision:
         retryable-error path — one structured error, no hang.
 
         Ring saturation is arranged honestly: the worker is SIGSTOPped,
-        a second connection pipelines enough pushes to fill the 2-slot
+        a second connection sends enough raw pushes to fill the 2-slot
         request ring, and only then does the probe client push."""
         filler_name = _name_routed_to(0, 1, "filler")
         probe_name = _name_routed_to(0, 1, "probe")
@@ -262,24 +264,19 @@ class TestSupervision:
             filler_client = Client(*server.address, timeout=TIMEOUT)
             probe_client = Client(*server.address, timeout=TIMEOUT)
             try:
-                filler = filler_client.session(filler_name, reattach=False)
+                filler_client.session(filler_name, reattach=False)
                 probe = probe_client.session(
                     probe_name, reattach=False,
                     retries=100, backoff_s=0.05, max_backoff_s=0.05,
                 )
                 proc = server._procs[0]
                 os.kill(proc.pid, signal.SIGSTOP)
-                filler_error: list = []
-
-                def fill() -> None:
-                    try:
-                        filler.run(stream, window=4)
-                    except NetError as error:
-                        filler_error.append(error)
-
-                thread = threading.Thread(target=fill, daemon=True)
-                thread.start()
-                time.sleep(0.3)  # let the pipelined pushes fill the ring
+                for frame in stream:
+                    filler_client._send(
+                        "push", session=filler_name,
+                        frame=encode_array(frame),
+                    )
+                time.sleep(0.3)  # let the raw pushes fill the ring
                 killer = threading.Timer(
                     0.4, lambda: os.kill(proc.pid, signal.SIGKILL)
                 )
@@ -289,36 +286,13 @@ class TestSupervision:
                     probe.push(stream[0])
                 assert time.monotonic() - began < TIMEOUT
                 killer.join()
-                thread.join(timeout=TIMEOUT)
-                assert not thread.is_alive(), "filler hung"
-                assert filler_error and isinstance(
-                    filler_error[0], RetryableError
-                )
+                # The ring-held pushes died with the worker: the filler
+                # reads retryable errors, not a hang.
+                replies = [filler_client._recv() for _ in stream]
+                assert any(reply.get("retryable") for reply in replies)
             finally:
                 filler_client.close()
                 probe_client.close()
-
-
-    def test_run_recovers_from_mid_pipeline_busy(self, fixed_compiled):
-        """Worker-ring saturation mid-pipeline (SIGSTOPped worker,
-        2-slot ring, window 6) voids run()'s contiguous-apply order;
-        the reattaching session must reconcile through the reattach
-        path and still end byte-identical."""
-        stream = _stream(12)
-        want = _standalone(fixed_compiled, stream)
-        with NetServer(fixed_compiled, workers=1, ring_slots=2) as server:
-            with Client(*server.address, timeout=TIMEOUT) as client:
-                session = client.session("squeezed")
-                proc = server._procs[0]
-                os.kill(proc.pid, signal.SIGSTOP)
-                resumer = threading.Timer(
-                    0.5, lambda: os.kill(proc.pid, signal.SIGCONT)
-                )
-                resumer.start()
-                got = session.run(stream, window=6)
-                resumer.join()
-                assert session.recoveries >= 1
-        assert got.tobytes() == want.tobytes()
 
 
 def _no_shared_memory(cls, nslots: int, payload_capacity: int) -> RingPair:
@@ -481,12 +455,14 @@ class TestSessionLifecycle:
 
 class TestChaosSoak:
     def test_concurrent_clients_survive_a_worker_kill(self, fixed_compiled):
-        """The acceptance soak: five concurrent pipelined clients, one
+        """The acceptance soak: five concurrent streaming clients, one
         worker SIGKILLs itself mid-soak (kill fault).  Every stream must
         come back byte-identical — zero drops, duplicates or reorders —
-        with only the dead worker's sessions recovering."""
+        with only the dead worker's sessions recovering.  Four push_many
+        chunks per stream give worker 0's two sessions ten requests, so
+        the kill after six lands mid-stream."""
         workers, sessions = 2, 5
-        stream = _stream(30)
+        stream = _stream(4 * _CHUNK_FRAMES)
         want = _standalone(fixed_compiled, stream).tobytes()
         with NetServer(
             fixed_compiled, workers=workers, faults="kill:worker=0,after=6",
@@ -499,9 +475,7 @@ class TestChaosSoak:
                 try:
                     with Client(*server.address, timeout=TIMEOUT) as client:
                         session = client.session(f"soak-{index}")
-                        results[index] = session.run(
-                            stream, window=8
-                        ).tobytes()
+                        results[index] = session.run(stream).tobytes()
                         recoveries[index] = session.recoveries
                 except Exception as error:  # noqa: BLE001 - reraised below
                     errors.append((index, error))

@@ -483,7 +483,9 @@ class TestBusyRetry:
         with NetServer(fixed_compiled, workers=1, queue_limit=1) as server:
             pid = server._procs[0].pid
             with Client(*server.address, timeout=TIMEOUT) as client:
-                session = client.session("busy-cap")
+                session = client.session(
+                    "busy-cap", retries=2, backoff_s=0.001
+                )
                 os.kill(pid, signal.SIGSTOP)
                 try:
                     client._send(
@@ -493,7 +495,7 @@ class TestBusyRetry:
                         ),
                     )
                     with pytest.raises(BusyError) as excinfo:
-                        session.push(stream[1], retries=2, backoff_s=0.001)
+                        session.push(stream[1])
                 finally:
                     os.kill(pid, signal.SIGCONT)
         assert excinfo.value.limit == 1
@@ -533,69 +535,3 @@ class TestBusyRetry:
         assert sleeps, "retry loop never slept"
         assert max(sleeps) <= 0.12 + 1e-9
         assert sleeps.count(0.12) >= 25  # clamped, not linear
-
-
-class TestRetryableOvertakesPipelinedHead:
-    """A retryable error for a frame behind the head of a pipelined
-    ``run()``.  The gateway refuses such a frame at admission when its
-    session was re-placed mid-pipeline, so the refusal overtakes the
-    head's result; ``run()`` must reattach and resend, not fail on the
-    out-of-order reply id.  A scripted v1 server makes the overtake
-    deterministic: the first connection answers only with the error, the
-    second serves a running-sum stream."""
-
-    def test_run_reattaches_and_stays_in_order(self):
-        import threading
-
-        from repro.runtime.net import decode_array
-        from repro.runtime.net.protocol import dump_line
-
-        frames = np.arange(8.0).reshape(4, 2)
-        listener = socket.create_server(("127.0.0.1", 0))
-        total = np.zeros(2)
-
-        def serve() -> None:
-            for connection in range(2):
-                sock, _ = listener.accept()
-                with sock, sock.makefile("rwb") as stream:
-                    def send(message: dict) -> None:
-                        stream.write(dump_line(message))
-                        stream.flush()
-
-                    send({"type": "hello", "input_size": 2,
-                          "num_classes": 2, "queue_limit": 8})
-                    refused: list[int] = []
-                    seq = 0
-                    for line in stream:
-                        request = json.loads(line)
-                        rid, op = request["id"], request["op"]
-                        if op != "push":
-                            send({"id": rid, "ok": True, "type": op,
-                                  "seq": seq, "worker": 0})
-                        elif connection == 0:
-                            refused.append(rid)
-                            if len(refused) == len(frames):
-                                send({"id": refused[1], "ok": False,
-                                      "type": "error", "kind": "NetError",
-                                      "error": "session re-placed",
-                                      "retryable": True})
-                        else:
-                            total[:] += decode_array(request["frame"])
-                            seq += 1
-                            send({"id": rid, "ok": True, "type": "push",
-                                  "seq": seq,
-                                  "logits": encode_array(total)})
-
-        server = threading.Thread(target=serve, daemon=True)
-        server.start()
-        try:
-            with Client(*listener.getsockname(), timeout=TIMEOUT,
-                        protocol=1) as client:
-                session = client.session("overtaken")
-                got = session.run(frames, window=4)
-                session.close()
-            server.join(timeout=TIMEOUT)
-        finally:
-            listener.close()
-        assert np.array_equal(got, np.cumsum(frames, axis=0))
-        assert session.recoveries == 1
