@@ -10,14 +10,14 @@ every session's output must equal its in-process baseline byte for byte,
 even when a disruption lands mid-soak.  Three parts:
 
 * :func:`soak` — the one loop.  Every client runs its plan's first half,
-  waits at a midpoint barrier (aborted when a client errors) while the
-  disruptions fire, then runs the second half — so every disruption
-  lands between the halves, never after a client has finished.
+  waits at a midpoint barrier (aborted when a client errors) where the
+  disruptions fire, then runs the second half.
 * one plan per workload — :class:`PushPlan` pushes a seeded stream
   frame by frame and times every push; :class:`AsrPlan` is the same with
-  its second half sent as ``push_many`` chunks through ``run``;
-  :class:`LmPlan` runs generate → score → generate.  A plan owns its
-  conformance probe and its in-process baseline.
+  its second half streamed through ``run`` in blocks, the first
+  answered before the midpoint; :class:`LmPlan` runs generate → score →
+  generate.  A plan owns its conformance probe and its in-process
+  baseline.
 * one evidence check per disruption — :class:`WorkerFaults` (armed
   ``--fault`` specs), :class:`BackendKill`, :class:`Drain` — proving the
   disruption happened, so a drill cannot pass by never being disrupted.
@@ -105,22 +105,19 @@ class Soak:
 def soak(target: Target, plan: Any,
          disrupt: Callable[[], None] | None = None) -> Soak:
     """Run ``plan.sessions`` clients; ``disrupt`` fires at the midpoint
-    once every client reached it, and never after a client failed.  The
-    clients stay parked until it returns."""
+    once every client reached it, and never after a client failed."""
     count = plan.sessions
     outputs: list = [None] * count
     recoveries = [0] * count
     errors: list[str] = []
     stranded: list[int] = []  # clients whose midpoint wait broke
     midpoint = threading.Barrier(count + 1, timeout=_MIDPOINT_TIMEOUT_S)
-    resume = threading.Event()
 
     def client(index: int) -> None:
         try:
             with target.open(f"{plan.prefix}-{index}") as session:
                 state = plan.first(session, index)
                 midpoint.wait()
-                resume.wait()
                 outputs[index] = plan.second(session, index, state)
                 recoveries[index] = getattr(session, "recoveries", 0)
         except threading.BrokenBarrierError:
@@ -145,7 +142,6 @@ def soak(target: Target, plan: Any,
         if disrupt is not None and met and not errors:
             disrupt()
     finally:
-        resume.set()
         for thread in threads:
             thread.join()
     if stranded and not errors:
@@ -211,17 +207,31 @@ class PushPlan:
 
 
 class AsrPlan(PushPlan):
-    """:class:`PushPlan` with its second half sent through ``run``: over
-    the wire that is ``push_many`` chunks, one request in flight (the
-    in-process ``ServerSession`` has no ``run`` and pushes it)."""
+    """:class:`PushPlan` with its second half streamed through ``run`` in
+    ``BLOCKS`` blocks, as a live ASR client sends audio as it arrives:
+    over the wire each block is ``push_many`` chunks, one request in
+    flight.  The first block is answered before the midpoint, so a
+    disruption fires with every stream under way and the other blocks
+    run into it.  The in-process ``ServerSession`` has no ``run`` and
+    pushes the half frame by frame."""
 
     prefix = "selftest"
+    BLOCKS = 4
+
+    def _blocks(self, index: int) -> list:
+        return np.array_split(self.streams[index][self.half:], self.BLOCKS)
+
+    def first(self, session: Any, index: int) -> list:
+        rows = super().first(session, index)
+        if hasattr(session, "run"):
+            rows.extend(session.run(self._blocks(index)[0]))
+        return rows
 
     def second(self, session: Any, index: int, rows: list) -> np.ndarray:
         if not hasattr(session, "run"):
             return super().second(session, index, rows)
-        tail = session.run(self.streams[index][self.half:])
-        return np.vstack([*rows, *tail])
+        blocks = [session.run(block) for block in self._blocks(index)[1:]]
+        return np.vstack([*rows, *blocks])
 
 
 def lm_fixture_artifact(backend: str, bits: int) -> tuple[Any, Any]:

@@ -42,7 +42,7 @@ import itertools
 import socket
 import time
 from collections import deque
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -646,11 +646,20 @@ class NetSession:
             frames[:, None, :], self._client.input_size
         )[:, 0, :])
 
+    def _advance(self, request: Callable[[], dict], count: int,
+                 journal: Callable[[dict], np.ndarray]) -> dict:
+        """One op that advances the stream by ``count`` rows: ``request``
+        is retried through recovery, the reply's ``seq`` accepted, and
+        the rows ``journal(reply)`` names kept for a replay."""
+        reply = self._with_recovery(request)
+        self._accept_seq(reply, count)
+        self._journal_rows(journal(reply))
+        return reply
+
     def _push_chunk(self, rows: np.ndarray) -> np.ndarray:
         """Coerced ``(K, D)`` rows as one ``push_many`` → ``(K, C)``."""
-        reply = self._with_recovery(lambda: self._request_rows(rows))
-        self._accept_seq(reply, len(rows))
-        self._journal_rows(rows)
+        reply = self._advance(lambda: self._request_rows(rows), len(rows),
+                              lambda _: rows)
         return self._client._logits(reply).copy().reshape(
             len(rows), self._client.num_classes
         )
@@ -663,9 +672,8 @@ class NetSession:
         """
         self._check_open()
         coerced, squeezed = coerce_frame(frame, 1, self._client.input_size)
-        reply = self._with_recovery(lambda: self._request_rows(coerced[0]))
-        self._accept_seq(reply, 1)
-        self._journal_rows(coerced)
+        reply = self._advance(lambda: self._request_rows(coerced[0]), 1,
+                              lambda _: coerced)
         # copy(): the decoded logits view wire bytes; Session.push parity
         # means handing back a writable array.
         logits = self._client._logits(reply).copy()
@@ -726,18 +734,22 @@ class NetSession:
             prompt, steps, temperature, top_k, seed,
             vocab_size=self._client.input_size,
         )
-        rows_total = len(params["prompt"]) + params["steps"] - 1
         send = functools.partial(
             self._client._send, "generate", session=self._name, **params
         )
-        reply = self._with_recovery(lambda: self._push_with_retry(send))
-        self._accept_seq(reply, rows_total)
-        tokens = [int(token) for token in reply.get("tokens", ())]
-        fed = np.asarray(
-            params["prompt"] + tokens[:-1], dtype=np.int64
-        )
-        self._journal_rows(one_hot_rows(fed, self._client.input_size))
-        return tokens
+
+        def tokens(reply: dict) -> list[int]:
+            return [int(token) for token in reply.get("tokens", ())]
+
+        def fed(reply: dict) -> np.ndarray:
+            ids = np.asarray(params["prompt"] + tokens(reply)[:-1],
+                             dtype=np.int64)
+            return one_hot_rows(ids, self._client.input_size)
+
+        reply = self._advance(lambda: self._push_with_retry(send),
+                              len(params["prompt"]) + params["steps"] - 1,
+                              fed)
+        return tokens(reply)
 
     def score(self, tokens: Any) -> np.ndarray:
         """Per-token log-probs for ``tokens[1:]`` (LM workload).
@@ -766,9 +778,10 @@ class NetSession:
                 "score", session=self._name, tokens=params["tokens"]
             )
 
-        reply = self._with_recovery(lambda: self._push_with_retry(send))
-        self._accept_seq(reply, count)
-        self._journal_rows(one_hot_rows(ids[:-1], self._client.input_size))
+        reply = self._advance(
+            lambda: self._push_with_retry(send), count,
+            lambda _: one_hot_rows(ids[:-1], self._client.input_size),
+        )
         values = reply.get("logits_array")
         if values is None:
             values = decode_array(reply["logprobs"])

@@ -101,6 +101,38 @@ def test_kill_takes_a_loaded_node_and_the_drain_another(asr, capsys):
     assert drain.node not in (None, kill.node)
 
 
+class _Recording:
+    """A local session with a wire session's ``push``/``run`` shapes that
+    records the call sequence."""
+
+    def __init__(self, compiled):
+        self.session = compiled.session()
+        self.calls = []
+
+    def push(self, frame):
+        self.calls.append("push")
+        return self.session.push(frame)
+
+    def run(self, frames):
+        self.calls.append(("run", len(frames)))
+        return self.session.run(frames[:, None, :])[:, 0]
+
+
+def test_asr_plan_has_a_run_block_answered_before_the_midpoint(asr):
+    """The first of the second half's ``run`` blocks belongs to the
+    first half, so a midpoint disruption fires with every stream under
+    way and the other blocks still to send."""
+    plan = drills.AsrPlan(asr, 1, FRAMES)
+    block = FRAMES // 2 // plan.BLOCKS
+    session = _Recording(asr)
+    rows = plan.first(session, 0)
+    assert session.calls == ["push"] * (FRAMES // 2) + [("run", block)]
+    del session.calls[:]
+    served = plan.second(session, 0, rows)
+    assert session.calls == [("run", block)] * (plan.BLOCKS - 1)
+    assert np.array_equal(served, plan.baseline()[0])
+
+
 @pytest.mark.parametrize("where", ["in-process", "net"])
 def test_push_plan_times_every_push(asr, where):
     plan = drills.PushPlan(asr, SESSIONS, FRAMES)

@@ -15,6 +15,7 @@ from repro.errors import ConfigError
 from repro.nn.rnn import StackedRNNClassifier
 from repro.runtime import compile
 from repro.runtime.net import Client, FaultSpec, NetServer, parse_fault
+from repro.runtime.net.client import _CHUNK_FRAMES
 from repro.runtime.net.faults import FaultInjector, coerce_faults
 
 SPEC = RNNSpec("lstm", 10, (32,), 6, block_sizes=(4,))
@@ -115,6 +116,33 @@ class TestPublishFaults:
                 session = client.session("dropped")
                 got = np.stack([session.push(frame) for frame in stream])
                 assert session.recoveries >= 1
+        assert got.tobytes() == _standalone(fixed_compiled, stream).tobytes()
+
+    @pytest.mark.parametrize("protocol", [1, 2])
+    def test_dropped_chunk_reply_is_reset_and_recomputed(
+        self, fixed_compiled, protocol
+    ):
+        """``run``'s second ``push_many`` chunk is applied but its reply
+        is dropped.  The reopen finds the server one chunk ahead of the
+        client, so the recovery resets and replays the first chunk: the
+        frames the reset threw away (both chunks) are computed twice,
+        and ``discarded_frames`` counts exactly them."""
+        stream = _stream(2 * _CHUNK_FRAMES + 8)
+        with NetServer(
+            fixed_compiled, workers=1, faults="drop_publish:after=1",
+            drain_timeout_s=1.0,
+        ) as server:
+            with Client(*server.address, timeout=2.0,
+                        protocol=protocol) as client:
+                session = client.session("dropped-chunk")
+                got = session.run(stream)
+                entries = client.stats()
+        assert session.recoveries == 1
+        assert session.discarded_frames == 2 * _CHUNK_FRAMES
+        assert session.replayed_frames == _CHUNK_FRAMES
+        assert session.frames_pushed == len(stream)
+        served = sum(entry["stats"]["frames"] for entry in entries)
+        assert served == len(stream) + session.discarded_frames
         assert got.tobytes() == _standalone(fixed_compiled, stream).tobytes()
 
     def test_corrupt_slot_is_caught_never_served(self, fixed_compiled):

@@ -170,6 +170,40 @@ class TestNetByteIdentity:
         assert got_run.tobytes() == expected.tobytes()
         assert streamed.frames_pushed == frames
 
+    @pytest.mark.parametrize("protocol", [1, 2])
+    def test_run_keeps_one_request_in_flight(
+        self, net_server, fixed_compiled, protocol, monkeypatch
+    ):
+        """Each chunk's reply is read before the next chunk is sent, so a
+        recovery never leaves requests of its own behind it."""
+        stream = _streams(1, 2 * _CHUNK_FRAMES + 7, seed=23)[0]
+        with Client(*net_server.address, timeout=TIMEOUT,
+                    protocol=protocol) as client:
+            session = client.session(f"one-in-flight-{protocol}")
+            outstanding, peaks = [0], []
+
+            def counted(send):
+                def wrapped(*args, **kwargs):
+                    outstanding[0] += 1
+                    peaks.append(outstanding[0])
+                    return send(*args, **kwargs)
+                return wrapped
+
+            recv_for = client._recv_for
+
+            def answered(rid):
+                reply = recv_for(rid)
+                outstanding[0] -= 1
+                return reply
+
+            monkeypatch.setattr(client, "_send", counted(client._send))
+            monkeypatch.setattr(client, "_send_binary",
+                                counted(client._send_binary))
+            monkeypatch.setattr(client, "_recv_for", answered)
+            got = session.run(stream)
+        assert peaks == [1, 1, 1]  # three chunks, one at a time
+        assert got.tobytes() == _standalone(fixed_compiled, stream).tobytes()
+
     def test_float_backend_over_the_wire(self):
         compiled = _compiled("float")
         streams = _streams(2, 8, seed=13)
